@@ -42,10 +42,12 @@ from .metrics import (
 )
 from .oracles import (
     FiniteMemoryGradient,
+    Surrogates,
     finite_memory_gradient,
     ideal_gradient,
     run_ideal_ogd,
     surrogate_cost,
+    surrogates,
 )
 from .system import (
     Ball,

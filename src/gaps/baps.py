@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateBlowup, ZeroProbabilitySampled
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP
+from .errors import ZeroProbabilitySampled
+from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state
 
 # Above this exponent the multiplicative update switches to log-space.
 _EXP_GUARD = 50.0
@@ -179,8 +179,7 @@ def run_baps(
         theta = arms[j]
         batch_cost = 0.0
         for _ in range(config.b):
-            if np.linalg.norm(x) > blowup_cap:
-                raise StateBlowup(t, float(np.linalg.norm(x)), blowup_cap)
+            check_state(t, x, blowup_cap)
             u = system.policy(t, x, theta)
             c = system.cost(t, x, u)
             states[t] = x

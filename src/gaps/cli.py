@@ -25,14 +25,21 @@ from . import envs as env_mod
 from .baps import BapsConfig, run_baps
 from .contraction import estimate_contraction
 from .core import GapsConfig, run_gaps
-from .errors import ConfigError, Divergence, GapsError, StateBlowup
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    Divergence,
+    GapsError,
+    NonFiniteGradient,
+    StateBlowup,
+)
 from .metrics import (
     local_regret,
     make_theta_grid,
     static_and_adaptive_regret,
     surrogate_table,
 )
-from .oracles import ideal_gradient, run_ideal_ogd
+from .oracles import run_ideal_ogd, surrogates
 from .validation import SUITES, run_validation
 
 SCHEMA_VERSION = 1
@@ -214,6 +221,14 @@ def _default_theta0(env, env_name: str):
     return np.zeros(env.d)
 
 
+def _algorithm_config(cls, **kwargs):
+    """Build an algorithm's config; a value it rejects is a config error."""
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError, DimensionMismatch) as exc:
+        raise ConfigError(f"algorithm.params: {exc}") from None
+
+
 def run_algorithm(config: dict, env):
     name = config["algorithm"]["name"]
     params = dict(config["algorithm"].get("params", {}))
@@ -221,7 +236,8 @@ def run_algorithm(config: dict, env):
     env_name = config["env"]["name"]
     if name == "gaps":
         theta0 = params.get("theta0", _default_theta0(env, env_name))
-        cfg = GapsConfig(
+        cfg = _algorithm_config(
+            GapsConfig,
             eta=params.get("eta", 0.05),
             B=params.get("B", 32),
             theta0=theta0,
@@ -230,8 +246,8 @@ def run_algorithm(config: dict, env):
         return run_gaps(env, cfg, T), {}
     if name == "ogd":
         theta0 = params.get("theta0", _default_theta0(env, env_name))
-        cfg = GapsConfig(
-            eta=params.get("eta", 0.05), B=1, theta0=theta0, set=env.theta_set
+        cfg = _algorithm_config(
+            GapsConfig, eta=params.get("eta", 0.05), B=1, theta0=theta0, set=env.theta_set
         )
         return run_ideal_ogd(env, cfg, T), {}
     if name == "baps":
@@ -239,7 +255,8 @@ def run_algorithm(config: dict, env):
         if arm_fn is None:
             raise ConfigError("baps needs an environment with discrete arms")
         arms = arm_fn()
-        cfg = BapsConfig(
+        cfg = _algorithm_config(
+            BapsConfig,
             k=len(arms),
             b=params.get("b", 50),
             eta=params.get("eta", 1e-4),
@@ -312,7 +329,8 @@ def compute_report(config: dict, env, traj, extras: dict) -> dict:
     return report
 
 
-def run_experiment(config: dict, out_dir: str) -> dict:
+def run_experiment(config: dict, out_dir: str):
+    """Run one experiment and write its files; returns (env, traj, report)."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         json.dump(config, f, indent=2, sort_keys=True)
@@ -324,40 +342,35 @@ def run_experiment(config: dict, out_dir: str) -> dict:
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-    return report
+    return env, traj, report
 
 
-def _grad_bias_metric(config: dict) -> float:
+def _grad_bias_metric(env, traj) -> float:
     """mean_t |G_t - grad F_t(theta_t)| for the gradient-based run."""
-    env = build_env(config)
-    traj, _ = run_algorithm(config, env)
+    exact = surrogates(env, traj.thetas, with_grad=True).grads
     total = 0.0
     for t in range(len(traj)):
-        exact = ideal_gradient(env, traj.thetas[t], t, mode="chain")
-        total += float(np.linalg.norm(traj.grads[t] - exact))
+        total += float(np.linalg.norm(traj.grads[t] - exact[t]))
     return total / len(traj)
 
 
-def _cost_bias_metric(config: dict) -> float:
+def _cost_bias_metric(env, traj) -> float:
     """mean_t |f_t(x_t, u_t) - F_t(theta_t)| for the gradient-based run."""
-    from .oracles import surrogate_cost
-
-    env = build_env(config)
-    traj, _ = run_algorithm(config, env)
+    exact = surrogates(env, traj.thetas).costs
     total = 0.0
     for t in range(len(traj)):
-        total += abs(traj.costs[t] - surrogate_cost(env, traj.thetas[t], t))
+        total += abs(traj.costs[t] - exact[t])
     return total / len(traj)
 
 
 _SWEEP_METRICS = {"mean_grad_bias": _grad_bias_metric, "mean_cost_bias": _cost_bias_metric}
 
 
-def _sweep_worker(args: tuple) -> tuple:
+def _sweep_worker(args: tuple) -> float:
     config, sub_dir, metric = args
-    report = run_experiment(config, sub_dir)
+    env, traj, report = run_experiment(config, sub_dir)
     if metric in _SWEEP_METRICS:
-        value = _SWEEP_METRICS[metric](config)
+        value = _SWEEP_METRICS[metric](env, traj)
     else:
         if metric not in report:
             raise ConfigError(f"metric {metric!r} not in report; toggle metrics.regret?")
@@ -496,7 +509,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StateBlowup, Divergence) as exc:
+    except (StateBlowup, Divergence, NonFiniteGradient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError) as exc:

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, StateBlowup
+from .errors import DimensionMismatch, NonFiniteGradient
 from .system import (
     ControlSystem,
     ParameterSet,
     StepJacobians,
     Trajectory,
     DEFAULT_BLOWUP_CAP,
+    check_state,
 )
 
 DEFAULT_BUFFER_LENGTH = 32
@@ -137,8 +138,7 @@ def run_gaps(
     grads = np.empty((T, system.d))
 
     for t in range(T):
-        if np.linalg.norm(x) > blowup_cap:
-            raise StateBlowup(t, float(np.linalg.norm(x)), blowup_cap)
+        check_state(t, x, blowup_cap)
         theta = state.theta
         u = system.policy(t, x, theta)
         states[t] = x

@@ -97,12 +97,15 @@ class ConfidenceMpcEnv(ControlSystem):
             self._ff_cache[t] = cached
         return cached
 
+    # The step math below broadcasts over a leading lane axis of x, theta
+    # and u, so the lane-axis entry points are the same methods.
+
     def policy(self, t, x, theta):
         K, _ = self._plan(t)
-        return -K @ x - np.asarray(theta, dtype=float) @ self.feedforward_terms(t)
+        return -x @ K.T - np.asarray(theta, dtype=float) @ self.feedforward_terms(t)
 
     def dynamics(self, t, x, u):
-        return self.A[t] @ x + self.B[t] @ u + self.w[t]
+        return x @ self.A[t].T + u @ self.B[t].T + self.w[t]
 
     def cost(self, t, x, u):
         return float(x @ self.Q[t] @ x + u @ self.R[t] @ u)
@@ -110,15 +113,19 @@ class ConfidenceMpcEnv(ControlSystem):
     def jacobians(self, t, x, theta):
         K, _ = self._plan(t)
         ff = self.feedforward_terms(t)
-        u = -K @ x - np.asarray(theta, dtype=float) @ ff
+        u = -x @ K.T - np.asarray(theta, dtype=float) @ ff
         return StepJacobians(
             dg_dx=self.A[t],
             dg_du=self.B[t],
             dpi_dx=-K,
             dpi_dtheta=-ff.T,
-            df_dx=2.0 * self.Q[t] @ x,
-            df_du=2.0 * self.R[t] @ u,
+            df_dx=2.0 * x @ self.Q[t].T,
+            df_du=2.0 * u @ self.R[t].T,
         )
+
+    policy_lanes = policy
+    dynamics_lanes = dynamics
+    jacobians_lanes = jacobians
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

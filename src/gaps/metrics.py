@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import EmptyGrid, NonPositiveRegret
-from .oracles import ideal_gradient
+from .oracles import surrogates
 from .system import Ball, Box, ControlSystem, ParameterSet, WholeSpace, rollout
 
 
@@ -169,13 +169,13 @@ def static_and_adaptive_regret(
 
 
 def local_regret(system: ControlSystem, theta_history: np.ndarray, T: int) -> float:
-    """Cumulative squared surrogate-gradient norm along the parameter path."""
+    """Cumulative squared surrogate-gradient norm along the parameter path,
+    sum_t |grad F_t(theta_t)|^2 in t order, from one lockstep pass."""
     theta_history = np.atleast_2d(np.asarray(theta_history, dtype=float))
     if theta_history.shape[0] < T:
         raise ValueError("theta history shorter than T")
     total = 0.0
-    for t in range(T):
-        g = ideal_gradient(system, theta_history[t], t, mode="chain")
+    for g in surrogates(system, theta_history[:T], with_grad=True).grads:
         total += float(np.dot(g, g))
     return total
 

@@ -2,8 +2,17 @@
 
 The surrogate cost of a parameter at time t is the stage cost the system
 would have incurred at t had that parameter been used from step 0, under the
-same frozen disturbance realization. These O(t)-per-query references are
-what the streaming selector is validated against.
+same frozen disturbance realization. These references are what the
+streaming selector is validated against.
+
+Every oracle here runs through one lockstep resimulation (`surrogates`):
+lane i rolls out the constant parameter thetas[i] from x0 and is read at
+step steps[i]. All lanes still waiting for their read advance together, one
+lane-axis call of the system per step, so the surrogates F_t(theta_t) of a
+whole T-step parameter path cost one T-step pass instead of T
+resimulations. Gradients come from the forward sensitivity recursion
+S <- A_cl S + dg_du dpi_dtheta carried along each lane (forward-mode RTRL,
+Williams & Zipser 1989, untruncated).
 """
 
 from __future__ import annotations
@@ -13,33 +22,60 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GapsConfig
-from .errors import StateBlowup
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP
+from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state
 
 
-# Interval for instability checks inside the O(t) resimulation loops. The
-# bounded per-step growth of any sane system keeps intermediate values finite
-# between checks; a final finiteness check backstops pathological cases.
-_CHECK_EVERY = 16
+class Surrogates(NamedTuple):
+    costs: np.ndarray  # (L,): costs[i] = F_{steps[i]}(thetas[i])
+    grads: np.ndarray | None  # (L, d) gradients of the same, when asked for
 
 
-def _check_state(x: np.ndarray, tau: int, blowup_cap: float) -> None:
-    norm = float(np.linalg.norm(x))
-    if norm > blowup_cap or not np.isfinite(norm):
-        raise StateBlowup(tau, norm, blowup_cap)
+def surrogates(
+    system: ControlSystem,
+    thetas: np.ndarray,
+    steps=None,
+    with_grad: bool = False,
+    blowup_cap: float = DEFAULT_BLOWUP_CAP,
+) -> Surrogates:
+    """Surrogate costs F_{steps[i]}(thetas[i]), and their gradients.
 
+    thetas is (L, d); steps must be nondecreasing and defaults to 0..L-1,
+    which reads F_t(theta_t) along a parameter path. Each step checks the
+    state of every lane still active and raises StateBlowup when a norm
+    exceeds blowup_cap or is not finite.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    L = thetas.shape[0]
+    steps = list(range(L)) if steps is None else [int(s) for s in steps]
+    if len(steps) != L or (L and steps[0] < 0) or any(b < a for a, b in zip(steps, steps[1:])):
+        raise ValueError("steps must be nonnegative, nondecreasing and one per lane")
 
-def _resimulate(system: ControlSystem, theta: np.ndarray, t: int, blowup_cap: float):
-    """States x_hat_0..x_hat_t of the constant-theta rollout (same code path
-    as the streaming loop: policy, cost, dynamics queried step by step)."""
-    x = np.array(system.x0, dtype=float)
-    for tau in range(t):
-        if tau % _CHECK_EVERY == 0:
-            _check_state(x, tau, blowup_cap)
-        u = system.policy(tau, x, theta)
-        x = system.dynamics(tau, x, u)
-    _check_state(x, t, blowup_cap)
-    return x
+    # X and S hold the lanes lo..L-1 that have not been read yet; S is
+    # dx/dtheta along each of them.
+    X = np.tile(np.asarray(system.x0, dtype=float), (L, 1))
+    S = np.zeros((L, system.n, system.d)) if with_grad else None
+    costs = np.empty(L)
+    grads = np.empty((L, system.d)) if with_grad else None
+    lo = 0
+    for t in range(steps[-1] + 1 if L else 0):
+        check_state(t, X, blowup_cap)
+        th = thetas[lo:]
+        U = system.policy_lanes(t, X, th)
+        jac = system.jacobians_lanes(t, X, th) if with_grad else None
+        k = 0  # lanes read at this step
+        while lo + k < L and steps[lo + k] == t:
+            costs[lo + k] = system.cost(t, X[k], U[k])
+            if with_grad:
+                j = jac.lane(k)
+                grads[lo + k] = j.df_du @ j.dpi_dtheta + j.dcost_dx_closed() @ S[k]
+            k += 1
+        lo += k
+        if lo < L:
+            # The lanes just read advance with the rest and are then dropped.
+            if with_grad:
+                S = (jac.closed_loop() @ S + jac.dg_du @ jac.dpi_dtheta)[k:]
+            X = system.dynamics_lanes(t, X, U)[k:]
+    return Surrogates(costs=costs, grads=grads)
 
 
 def surrogate_cost(
@@ -50,9 +86,7 @@ def surrogate_cost(
 ) -> float:
     """Stage cost at time t of the constant-theta trajectory from x0."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = _resimulate(system, theta, t, blowup_cap)
-    u = system.policy(t, x, theta)
-    return float(system.cost(t, x, u))
+    return float(surrogates(system, theta[None], [t], blowup_cap=blowup_cap).costs[0])
 
 
 def ideal_gradient(
@@ -73,18 +107,7 @@ def ideal_gradient(
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if mode == "chain":
-        x = np.array(system.x0, dtype=float)
-        S = np.zeros((system.n, system.d))  # dx_tau/dtheta, all lags accumulated
-        for tau in range(t):
-            if tau % _CHECK_EVERY == 0:
-                _check_state(x, tau, blowup_cap)
-            jac = system.jacobians(tau, x, theta)
-            u = system.policy(tau, x, theta)
-            S = jac.closed_loop() @ S + jac.dg_du @ jac.dpi_dtheta
-            x = system.dynamics(tau, x, u)
-        _check_state(x, t, blowup_cap)
-        jac = system.jacobians(t, x, theta)
-        return jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+        return surrogates(system, theta[None], [t], with_grad=True, blowup_cap=blowup_cap).grads[0]
     if mode == "finite_diff":
         h = fd_step if fd_step is not None else 1e-6 * (1.0 + np.linalg.norm(theta))
         grad = np.empty(system.d)
@@ -122,8 +145,7 @@ def run_ideal_ogd(
     grads = np.empty((T, system.d))
 
     for t in range(T):
-        if np.linalg.norm(x) > blowup_cap:
-            raise StateBlowup(t, float(np.linalg.norm(x)), blowup_cap)
+        check_state(t, x, blowup_cap)
         u = system.policy(t, x, theta)
         states[t] = x
         actions[t] = u
@@ -170,8 +192,7 @@ def finite_memory_gradient(
     S = np.zeros((system.n, system.d))
     policy_evals = 0
     for tau in range(t - B, t):
-        if np.linalg.norm(x) > blowup_cap:
-            raise StateBlowup(tau, float(np.linalg.norm(x)), blowup_cap)
+        check_state(tau, x, blowup_cap)
         jac = system.jacobians(tau, x, theta)
         u = system.policy(tau, x, theta)
         policy_evals += 1

@@ -118,12 +118,20 @@ def project(pset: ParameterSet, theta: np.ndarray) -> np.ndarray:
 # Jacobians and trajectories
 
 
+# Number of axes of each Jacobian block at a single state; a block with one
+# more axis carries a leading lane axis.
+_BLOCK_NDIM = {"dg_dx": 2, "dg_du": 2, "dpi_dx": 2, "dpi_dtheta": 2, "df_dx": 1, "df_du": 1}
+
+
 @dataclass
 class StepJacobians:
     """All six partial-derivative blocks at a visited (x_t, u_t, theta_t).
 
     Gradient rows of the scalar cost are stored as 1-D arrays: df_dx has
-    shape (n,) and df_du shape (m,).
+    shape (n,) and df_du shape (m,). Returned by a lane-axis call, a block
+    either carries a leading lane axis or, when it is the same for every
+    lane, keeps its single-state shape; the products below broadcast over
+    both.
     """
 
     dg_dx: np.ndarray  # (n, n)
@@ -140,6 +148,15 @@ class StepJacobians:
     def dcost_dx_closed(self) -> np.ndarray:
         """d c_t / d x_t along the closed loop: df_dx + df_du @ dpi_dx."""
         return self.df_dx + self.df_du @ self.dpi_dx
+
+    def lane(self, i: int) -> "StepJacobians":
+        """The single-state blocks of lane i; a block shared by every lane
+        is returned whole."""
+        blocks = {}
+        for name, ndim in _BLOCK_NDIM.items():
+            block = getattr(self, name)
+            blocks[name] = block if block.ndim == ndim else block[i]
+        return StepJacobians(**blocks)
 
     def validate(self, n: int, m: int, d: int) -> None:
         expected = {
@@ -218,6 +235,26 @@ class ControlSystem(abc.ABC):
     def jacobians(self, t: int, x: np.ndarray, theta: np.ndarray) -> StepJacobians:
         ...
 
+    # Lane-axis entry points: row i of X, thetas and U is one state,
+    # parameter and action. The defaults loop over the lanes with the
+    # single-state methods; a system whose step math broadcasts over a
+    # leading axis can point these at its single-state methods instead.
+
+    def policy_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """(L, m) actions: row i is policy(t, X[i], thetas[i])."""
+        return np.array([self.policy(t, x, theta) for x, theta in zip(X, thetas)])
+
+    def dynamics_lanes(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """(L, n) next states: row i is dynamics(t, X[i], U[i])."""
+        return np.array([self.dynamics(t, x, u) for x, u in zip(X, U)])
+
+    def jacobians_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> StepJacobians:
+        """Jacobian blocks of every lane, each with a leading lane axis."""
+        jacs = [self.jacobians(t, x, theta) for x, theta in zip(X, thetas)]
+        return StepJacobians(
+            **{name: np.array([getattr(j, name) for j in jacs]) for name in _BLOCK_NDIM}
+        )
+
     def clone(self) -> "ControlSystem":
         """Independent copy sharing the same frozen disturbance realization."""
         return copy.deepcopy(self)
@@ -234,6 +271,21 @@ class ControlSystem(abc.ABC):
 # Rollout and Jacobian validation
 
 
+def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
+    """Raise StateBlowup at step t unless |x| <= blowup_cap.
+
+    Written as `not norm <= cap` so that a NaN or infinite state fails too.
+    x may carry a leading lane axis, and then every lane is checked: the
+    norm over all lanes bounds each lane's, so lanes are measured one by
+    one only past the cap.
+    """
+    norm = np.linalg.norm(x)
+    if not norm <= blowup_cap and x.ndim == 2:
+        norm = np.max(np.linalg.norm(x, axis=1))
+    if not norm <= blowup_cap:
+        raise StateBlowup(t, float(norm), blowup_cap)
+
+
 def rollout(
     system: ControlSystem,
     theta_seq,
@@ -246,7 +298,7 @@ def rollout(
 
     theta_seq may be a (T, d) array, a list of vectors, or a single (d,)
     vector held constant. Raises StateBlowup once the state norm exceeds
-    blowup_cap, which is the loud instability signal.
+    blowup_cap or is not finite, which is the loud instability signal.
     """
     theta_seq = np.asarray(theta_seq, dtype=float)
     if theta_seq.ndim == 1:
@@ -267,8 +319,7 @@ def rollout(
     jacs: list[StepJacobians] | None = [] if with_jacobians else None
 
     for t in range(T):
-        if np.linalg.norm(x) > blowup_cap:
-            raise StateBlowup(t, float(np.linalg.norm(x)), blowup_cap)
+        check_state(t, x, blowup_cap)
         theta = theta_seq[t]
         u = system.policy(t, x, theta)
         states[t] = x

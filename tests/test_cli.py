@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import gaps.cli
 from gaps.cli import derive_seed, load_config, main
 from gaps.errors import ConfigError
 
@@ -85,6 +87,44 @@ class TestRun:
         assert main(["run", "--override", "bogus=1", "--out", str(tmp_path / "x")]) == 2
         assert main(["run", "--config", "/nonexistent.json", "--out", str(tmp_path / "y")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        ["algorithm.params.eta=-1"],
+        ["algorithm.params.B=0"],
+        ["algorithm.params.theta0=[1.0,2.0]"],
+        ["algorithm.name=ogd", "algorithm.params.eta=-1"],
+        ["env.name=horizon", "algorithm.name=baps", "algorithm.params.b=0"],
+    ])
+    def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
+        argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "env_name, field, step", [("pendulum", "w", 10), ("fig2", "w_pred", 5)]
+    )
+    def test_nan_input_is_numerical_failure(
+        self, tmp_path, monkeypatch, capsys, env_name, field, step
+    ):
+        # A NaN disturbance makes the next state NaN (StateBlowup); a NaN
+        # prediction makes the action and so the gradient NaN while the
+        # state is still finite (NonFiniteGradient).
+        build = gaps.cli.build_env
+
+        def poisoned(config):
+            env = build(config)
+            getattr(env, field)[step] = np.nan
+            return env
+
+        monkeypatch.setattr(gaps.cli, "build_env", poisoned)
+        argv = ["run", "--out", str(tmp_path / "nan"), "--override", "T=30",
+                "--override", f"env.name={env_name}", "--override", "metrics.regret=false"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # A disturbance-feedback radius far beyond the blow-up cap plus a
         # huge step size drives the state over the cap within a few steps.
@@ -147,6 +187,36 @@ class TestSweep:
         lines = (out / "summary.csv").read_text().strip().splitlines()
         vals = [float(l.split(",")[1]) for l in lines[2:]]
         assert vals[0] > vals[1] > vals[2]
+
+
+    def test_summary_identical_across_job_counts(self, tmp_path):
+        summaries = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([
+                "sweep", "--param", "algorithm.params.B", "--values", "1,4,16",
+                "--metric", "mean_grad_bias", "--out", str(out), "--jobs", jobs,
+                "--override", "T=60", "--override", "metrics.regret=false",
+            ]) == 0
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("metric", ["mean_grad_bias", "mean_cost_bias"])
+    def test_bias_metric_runs_each_value_once(self, tmp_path, monkeypatch, metric):
+        calls = []
+        run = gaps.cli.run_algorithm
+
+        def counted(config, env):
+            calls.append(config["algorithm"]["params"]["eta"])
+            return run(config, env)
+
+        monkeypatch.setattr(gaps.cli, "run_algorithm", counted)
+        assert main([
+            "sweep", "--param", "algorithm.params.eta", "--values", "0.004,0.002",
+            "--metric", metric, "--out", str(tmp_path / "s"), "--jobs", "1",
+            "--override", "T=40", "--override", "metrics.regret=false",
+        ]) == 0
+        assert calls == [0.004, 0.002]
 
 
 class TestValidateAndFriends:

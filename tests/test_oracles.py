@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, run_gaps
-from gaps.envs import make_fig2_env
+from gaps.envs import make_fig2_env, make_pendulum_env
 from gaps.envs.confidence_mpc import ConfidenceMpcEnv
+from gaps.envs.linear_feedback import LinearFeedbackEnv
+from gaps.errors import StateBlowup
 from gaps.linalg import solve_dare
+from gaps.metrics import local_regret
 from gaps.oracles import (
     finite_memory_gradient,
     ideal_gradient,
     run_ideal_ogd,
     surrogate_cost,
+    surrogates,
 )
-from conftest import random_tanh_system
+from gaps.system import Box
+from conftest import TanhSystem, random_tanh_system
 
 
 def quiet_scalar_env(T, w=None, preds=None):
@@ -179,3 +184,86 @@ class TestFiniteMemory:
     def test_requires_enough_history(self, tanh_system):
         with pytest.raises(ValueError):
             finite_memory_gradient(tanh_system, np.zeros(2), 3, 5)
+
+
+def per_state_surrogate(system, theta, t):
+    """Reference F_t(theta) and its gradient: one constant-theta resimulation
+    from x0 through the single-state methods."""
+    x = np.array(system.x0, dtype=float)
+    S = np.zeros((system.n, system.d))
+    for tau in range(t):
+        jac = system.jacobians(tau, x, theta)
+        u = system.policy(tau, x, theta)
+        S = jac.closed_loop() @ S + jac.dg_du @ jac.dpi_dtheta
+        x = system.dynamics(tau, x, u)
+    jac = system.jacobians(t, x, theta)
+    cost = system.cost(t, x, system.policy(t, x, theta))
+    return cost, jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+
+
+class TestLockstep:
+    def test_bitwise_equal_to_per_state_resimulation_on_fig2(self):
+        # fig2 runs the broadcasting lane entry points of ConfidenceMpcEnv.
+        T = 200
+        env = make_fig2_env(T=T, seed=3)
+        cfg = GapsConfig(eta=0.05, B=8, theta0=[1.0], set=env.theta_set)
+        thetas = run_gaps(env, cfg, T).thetas
+        lock = surrogates(env, thetas, with_grad=True)
+        for t in range(T):
+            cost, grad = per_state_surrogate(env, thetas[t], t)
+            assert lock.costs[t] == cost
+            assert np.array_equal(lock.grads[t], grad)
+            assert surrogate_cost(env, thetas[t], t) == cost
+            assert np.array_equal(ideal_gradient(env, thetas[t], t), grad)
+
+    def test_default_lane_loop_matches_per_state_resimulation(self):
+        # TanhSystem keeps the default per-lane entry points, and all six of
+        # its Jacobian blocks except dpi_dtheta depend on the lane's state.
+        T = 60
+        system = TanhSystem(n=3, m=2, d=2, seed=5)
+        thetas = np.random.default_rng(5).uniform(-0.8, 0.8, (T, system.d))
+        lock = surrogates(system, thetas, with_grad=True)
+        for t in range(T):
+            cost, grad = per_state_surrogate(system, thetas[t], t)
+            assert abs(lock.costs[t] - cost) <= 1e-12
+            assert np.max(np.abs(lock.grads[t] - grad)) <= 1e-12
+
+    def test_arbitrary_read_steps(self):
+        system = TanhSystem(seed=8)
+        thetas = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+        steps = [4, 4, 11]
+        lock = surrogates(system, thetas, steps, with_grad=True)
+        for i in range(3):
+            cost, grad = per_state_surrogate(system, thetas[i], steps[i])
+            assert abs(lock.costs[i] - cost) <= 1e-12
+            assert np.max(np.abs(lock.grads[i] - grad)) <= 1e-12
+        with pytest.raises(ValueError):
+            surrogates(system, thetas, [4, 3, 11])
+
+    def test_diverging_lanes_raise(self):
+        # x' = 2x + 1 with the gain pinned at zero doubles the state each step.
+        T = 100
+        env = LinearFeedbackEnv(
+            [[2.0]], [[1.0]], [[1.0]], [[1.0]], np.ones((T, 1)),
+            theta_set=Box([0.0], [0.0]),
+        )
+        with pytest.raises(StateBlowup):
+            surrogates(env, np.zeros((T, 1)), with_grad=True)
+
+    def test_nan_state_raises(self):
+        w = np.zeros(50)
+        w[10] = np.nan
+        env = make_pendulum_env(50, w, seed=0)
+        with pytest.raises(StateBlowup) as info:
+            surrogates(env, np.tile(env.lqr_gains(1.0), (50, 1)))
+        assert info.value.t == 11
+
+    def test_local_regret_sums_ideal_gradients_in_order(self):
+        T = 120
+        env = make_fig2_env(T=T, seed=2)
+        thetas = np.random.default_rng(2).uniform(0.0, 1.0, (T, 1))
+        expected = 0.0
+        for t in range(T):
+            g = ideal_gradient(env, thetas[t], t)
+            expected += float(np.dot(g, g))
+        assert local_regret(env, thetas, T) == expected

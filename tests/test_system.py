@@ -90,6 +90,30 @@ class TestRollout:
                 traj.costs[t], abs=0
             )
 
+    def test_nan_disturbance_raises_in_every_runner(self):
+        # The guard is `not norm <= cap`, which a NaN state fails; with a
+        # plain `norm > cap` the NaN would flow on into the costs.
+        from gaps.baps import BapsConfig, run_baps
+        from gaps.core import GapsConfig, run_gaps
+        from gaps.oracles import finite_memory_gradient, run_ideal_ogd
+
+        w = np.zeros(40)
+        w[10] = np.nan
+        env = make_pendulum_env(40, w, seed=0)
+        gains = env.lqr_gains(1.0)
+        cfg = GapsConfig(eta=1.0, B=8, theta0=gains, set=env.theta_set)
+        runs = [
+            lambda: rollout(env, gains, T=40),
+            lambda: run_gaps(env, cfg, 40),
+            lambda: run_ideal_ogd(env, cfg, 40),
+            lambda: finite_memory_gradient(env, gains, 30, 25),
+            lambda: run_baps(env, [gains, gains + 1.0], BapsConfig(k=2, b=5, eta=0.1), 40),
+        ]
+        for run in runs:
+            with pytest.raises(StateBlowup) as info:
+                run()
+            assert info.value.t == 11
+
     def test_blowup_raises(self):
         from gaps.envs.linear_feedback import LinearFeedbackEnv
 
