@@ -255,6 +255,10 @@ def run_algorithm(config: dict, env):
         if arm_fn is None:
             raise ConfigError("baps needs an environment with discrete arms")
         arms = arm_fn()
+        if params.get("k", len(arms)) != len(arms):
+            raise ConfigError(
+                f"algorithm.params.k={params['k']!r} but the environment has {len(arms)} arms"
+            )
         cfg = _algorithm_config(
             BapsConfig,
             k=len(arms),

@@ -1,16 +1,17 @@
 """Streaming gradient-based policy selection with an O(B)-memory buffer.
 
-The selector maintains a ring of state-sensitivity matrices
-M_b = dx_t / dtheta_{t-b} for b = 1..B-1. One closed-loop Jacobian per step
-updates the whole ring, so the per-step cost gradient truncated to the last
-B parameters is assembled from a single policy evaluation plus O(B) small
-matrix products.
+The selector keeps the state sensitivities M_b = dx_t / dtheta_{t-b} for
+b = 1..B-1 as one stacked (k, n, d) array in lag order, k = min(B-1, t).
+One closed-loop Jacobian per step ages the whole ring in a single batched
+product, so the per-step cost gradient truncated to the last B parameters
+is assembled from a single policy evaluation and a fixed number of array
+operations, with no loop over lags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +62,22 @@ class GapsConfig:
 class GapsState:
     """Current parameter plus the ring of sensitivities dx_t/dtheta_{t-b}.
 
-    buffer[b-1] holds the (n, d) matrix for lag b; its length is
-    min(B - 1, t).
+    ring[b-1] holds the (n, d) matrix for lag b; ring has shape (k, n, d)
+    with k = min(B - 1, t), and is empty before the first step. buffer is
+    the same ring as a list of per-lag views.
     """
 
     t: int
     theta: np.ndarray
-    buffer: list[np.ndarray] = field(default_factory=list)
+    ring: np.ndarray
 
     @classmethod
     def initial(cls, config: GapsConfig) -> "GapsState":
-        return cls(t=0, theta=config.theta0.copy(), buffer=[])
+        return cls(t=0, theta=config.theta0.copy(), ring=np.empty((0, 0, config.set.dim)))
+
+    @property
+    def buffer(self) -> list[np.ndarray]:
+        return list(self.ring)
 
 
 def gaps_step(
@@ -87,33 +93,43 @@ def gaps_step(
     sequence.
     """
     d = config.set.dim
+    k = len(state.ring)
     if state.theta.shape != (d,):
         raise DimensionMismatch(f"theta has shape {state.theta.shape}, expected ({d},)")
-    if len(state.buffer) != min(config.B - 1, state.t):
+    if k != min(config.B - 1, state.t):
         raise DimensionMismatch(
-            f"buffer holds {len(state.buffer)} entries at t={state.t}, "
+            f"buffer holds {k} entries at t={state.t}, "
             f"expected {min(config.B - 1, state.t)}"
         )
 
     # Gradient: the lag-0 term acts through the policy directly; every older
-    # lag acts only through the current state.
+    # lag acts only through the current state. cumsum adds the lags in lag
+    # order, as a one-by-one sum would; a plain sum may reduce pairwise.
     grad = jac.df_du @ jac.dpi_dtheta
-    if state.buffer:
-        dc_dx = jac.dcost_dx_closed()
-        grad = grad + dc_dx @ sum(state.buffer)
-    if not np.all(np.isfinite(grad)):
+    if k:
+        grad = grad + jac.dcost_dx_closed() @ np.cumsum(state.ring, axis=0)[-1]
+    if not np.isfinite(grad).all():
         raise NonFiniteGradient(f"gradient at t={state.t} contains NaN/Inf")
 
-    # Ring update: push the new lag-1 sensitivity, age the rest, drop lag B-1.
-    new_buffer: list[np.ndarray] = []
+    # Ring update: dg_du @ dpi_dtheta becomes lag 1, every kept lag ages by
+    # one closed-loop step, and lag B-1 drops. The ring is stored as the
+    # block row [M_1 | M_2 | ... | M_k] of shape (n, k*d), so aging all lags
+    # is the single product A_cl @ [M_1 | ... | M_{B-2}]; `ring` is a
+    # (k, n, d) view of it.
+    ring = state.ring
     if config.B > 1:
-        A_cl = jac.closed_loop()
-        new_buffer.append(jac.dg_du @ jac.dpi_dtheta)
-        for M in state.buffer[: config.B - 2]:
-            new_buffer.append(A_cl @ M)
+        lag1 = jac.dg_du @ jac.dpi_dtheta
+        n = lag1.shape[0]
+        kept = state.ring[: config.B - 2]
+        block = np.empty((n, (len(kept) + 1) * d))
+        block[:, :d] = lag1
+        if len(kept):
+            kept_block = kept.transpose(1, 0, 2).reshape(n, -1)
+            np.matmul(jac.closed_loop(), kept_block, out=block[:, d:])
+        ring = block.reshape(n, -1, d).transpose(1, 0, 2)
 
     theta_next = config.set.project(state.theta - config.eta * grad)
-    return grad, GapsState(t=state.t + 1, theta=theta_next, buffer=new_buffer)
+    return grad, GapsState(t=state.t + 1, theta=theta_next, ring=ring)
 
 
 def run_gaps(

@@ -2,12 +2,7 @@
 
 from .confidence_mpc import ConfidenceMpcEnv, make_constant_noise_env, make_fig2_env
 from .dac import DacEnv, make_dac_env
-from .disturbances import (
-    IidGaussian,
-    OrnsteinUhlenbeck,
-    PiecewiseNoiseSchedule,
-    draw_disturbances,
-)
+from .disturbances import IidGaussian, OrnsteinUhlenbeck, PiecewiseNoiseSchedule
 from .ftl import ftl_confidence_baseline
 from .horizon import (
     HorizonSelectionEnv,
@@ -32,7 +27,6 @@ __all__ = [
     "PendulumEnv",
     "PendulumParams",
     "PiecewiseNoiseSchedule",
-    "draw_disturbances",
     "ftl_confidence_baseline",
     "lqr_baseline",
     "make_constant_noise_env",

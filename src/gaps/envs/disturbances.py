@@ -67,7 +67,3 @@ class PiecewiseNoiseSchedule:
     def sigmas(self, T: int) -> np.ndarray:
         return np.array([self.sigma_at(t) for t in range(T)])
 
-
-def draw_disturbances(spec, T: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, dim) realization for an IidGaussian or OrnsteinUhlenbeck spec."""
-    return spec.draw(T, dim, rng)

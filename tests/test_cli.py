@@ -93,6 +93,8 @@ class TestRun:
         ["algorithm.params.theta0=[1.0,2.0]"],
         ["algorithm.name=ogd", "algorithm.params.eta=-1"],
         ["env.name=horizon", "algorithm.name=baps", "algorithm.params.b=0"],
+        ["env.name=horizon", "algorithm.name=baps", "algorithm.params.k=0"],
+        ["env.name=horizon", "algorithm.name=baps", "algorithm.params.k=5"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, GapsState, default_buffer_length, gaps_step, run_gaps
-from gaps.envs import make_constant_noise_env, make_fig2_env
-from gaps.errors import NonFiniteGradient
+from gaps.envs import IidGaussian, make_constant_noise_env, make_fig2_env, make_pendulum_env
+from gaps.errors import DimensionMismatch, NonFiniteGradient
 from gaps.oracles import ideal_gradient
 from gaps.system import rollout
 from conftest import random_tanh_system
@@ -72,6 +72,79 @@ class TestGapsStep:
         jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
         jac.df_du = jac.df_du * np.nan
         with pytest.raises(NonFiniteGradient):
+            gaps_step(state, jac, cfg)
+
+
+def reference_run(system, cfg, T):
+    """GAPS with the ring kept as a Python list of per-lag matrices.
+
+    Yields (t, grad, theta, ring) per step, where ring is the list after
+    the step: ring[b-1] = dx_{t+1}/dtheta_{t+1-b}. Lags are summed in order.
+    """
+    x = np.array(system.x0, dtype=float)
+    theta = cfg.theta0.copy()
+    ring = []
+    for t in range(T):
+        u = system.policy(t, x, theta)
+        jac = system.jacobians(t, x, theta)
+        grad = jac.df_du @ jac.dpi_dtheta
+        if ring:
+            grad = grad + jac.dcost_dx_closed() @ sum(ring)
+        if cfg.B > 1:
+            A_cl = jac.closed_loop()
+            ring = [jac.dg_du @ jac.dpi_dtheta] + [A_cl @ M for M in ring[: cfg.B - 2]]
+        yield t, grad, theta, ring
+        theta = cfg.set.project(theta - cfg.eta * grad)
+        x = system.dynamics(t, x, u)
+
+
+class TestStackedRing:
+    """The stacked (k, n, d) ring against the list recursion, bit for bit."""
+
+    @staticmethod
+    def _setup(name, T, B):
+        if name == "pendulum":  # n = d = 2
+            env = make_pendulum_env(T, IidGaussian(1.0), seed=3)
+            return env, GapsConfig(eta=5.0, B=B, theta0=env.lqr_gains(1.0), set=env.theta_set)
+        env = make_fig2_env(T=T, seed=0)  # n = d = 1
+        return env, GapsConfig(eta=0.05, B=B, theta0=[1.0], set=env.theta_set)
+
+    @pytest.mark.parametrize("name, B", [
+        ("pendulum", 2), ("pendulum", 32), ("pendulum", 128), ("pendulum", 400),
+        ("fig2", 2), ("fig2", 32),
+    ])
+    def test_run_gaps_equals_list_ring(self, name, B):
+        T = 300
+        env, cfg = self._setup(name, T, B)
+        traj = run_gaps(env, cfg, T)
+        ref = list(reference_run(env, cfg, T))
+        assert np.array_equal(traj.grads, np.array([g for _, g, _, _ in ref]))
+        assert np.array_equal(traj.thetas, np.array([th for _, _, th, _ in ref]))
+
+    def test_buffer_rows_are_lags(self):
+        T, B = 60, 16
+        env, cfg = self._setup("pendulum", T, B)
+        state = GapsState.initial(cfg)
+        x = np.array(env.x0, dtype=float)
+        for t, grad, theta, ring in reference_run(env, cfg, T):
+            assert np.array_equal(state.theta, theta)
+            jac = env.jacobians(t, x, state.theta)
+            u = env.policy(t, x, state.theta)
+            g, state = gaps_step(state, jac, cfg)
+            assert np.array_equal(g, grad)
+            assert state.ring.shape == (min(B - 1, t + 1), env.n, env.d)
+            assert len(state.buffer) == len(ring)
+            for b in range(1, len(ring) + 1):
+                assert np.array_equal(state.buffer[b - 1], ring[b - 1])
+            x = env.dynamics(t, x, u)
+
+    def test_ring_length_mismatch_raises(self, tanh_system):
+        cfg = GapsConfig(eta=0.1, B=4, theta0=np.zeros(2), set=tanh_system.theta_set)
+        state = GapsState.initial(cfg)
+        jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
+        _, state = gaps_step(state, jac, cfg)
+        state.t = 0
+        with pytest.raises(DimensionMismatch):
             gaps_step(state, jac, cfg)
 
 

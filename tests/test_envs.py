@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, run_gaps
+from gaps.errors import StateBlowup
 from gaps.envs import (
     IidGaussian,
     OrnsteinUhlenbeck,
@@ -233,6 +234,13 @@ class TestFtl:
             traj = ftl_confidence_baseline(env, T)
             finals.append(traj.thetas[-1, 0])
         assert np.mean(finals) < 0.1
+
+    def test_nan_disturbance_raises_state_blowup(self):
+        env = make_fig2_env(T=50, seed=0)
+        env.w[5] = np.nan
+        with pytest.raises(StateBlowup) as info:
+            ftl_confidence_baseline(env, 50)
+        assert info.value.t == 6
 
     def test_recovers_slower_than_gaps_after_the_switch(self):
         env = make_fig2_env(T=200, seed=0)
