@@ -101,7 +101,7 @@ _ENV_PARAMS = {
 _ALGO_PARAMS = {
     "gaps": {"eta", "B", "theta0"},
     "ogd": {"eta", "theta0"},
-    "baps": {"b", "eta", "k"},
+    "baps": {"b", "eta"},
     "ftl": {"lambda0"},
 }
 
@@ -255,10 +255,6 @@ def run_algorithm(config: dict, env):
         if arm_fn is None:
             raise ConfigError("baps needs an environment with discrete arms")
         arms = arm_fn()
-        if params.get("k", len(arms)) != len(arms):
-            raise ConfigError(
-                f"algorithm.params.k={params['k']!r} but the environment has {len(arms)} arms"
-            )
         cfg = _algorithm_config(
             BapsConfig,
             k=len(arms),

@@ -63,17 +63,23 @@ class GapsState:
     """Current parameter plus the ring of sensitivities dx_t/dtheta_{t-b}.
 
     ring[b-1] holds the (n, d) matrix for lag b; ring has shape (k, n, d)
-    with k = min(B - 1, t), and is empty before the first step. buffer is
-    the same ring as a list of per-lag views.
+    with k = min(B - 1, t). The state dimension n is known only after the
+    first step, so the ring defaults to the empty (0, 0, d) array; at B = 1
+    every step leaves it empty as (0, n, d). buffer is the same ring as a
+    list of per-lag views.
     """
 
     t: int
     theta: np.ndarray
-    ring: np.ndarray
+    ring: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.ring is None:
+            self.ring = np.empty((0, 0, np.size(self.theta)))
 
     @classmethod
     def initial(cls, config: GapsConfig) -> "GapsState":
-        return cls(t=0, theta=config.theta0.copy(), ring=np.empty((0, 0, config.set.dim)))
+        return cls(t=0, theta=config.theta0.copy())
 
     @property
     def buffer(self) -> list[np.ndarray]:
@@ -116,13 +122,13 @@ def gaps_step(
     # block row [M_1 | M_2 | ... | M_k] of shape (n, k*d), so aging all lags
     # is the single product A_cl @ [M_1 | ... | M_{B-2}]; `ring` is a
     # (k, n, d) view of it.
-    ring = state.ring
-    if config.B > 1:
-        lag1 = jac.dg_du @ jac.dpi_dtheta
-        n = lag1.shape[0]
+    n = jac.dg_du.shape[0]
+    if config.B == 1:
+        ring = np.empty((0, n, d))
+    else:
         kept = state.ring[: config.B - 2]
         block = np.empty((n, (len(kept) + 1) * d))
-        block[:, :d] = lag1
+        block[:, :d] = jac.dg_du @ jac.dpi_dtheta
         if len(kept):
             kept_block = kept.transpose(1, 0, 2).reshape(n, -1)
             np.matmul(jac.closed_loop(), kept_block, out=block[:, d:])

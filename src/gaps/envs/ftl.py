@@ -16,16 +16,14 @@ from .confidence_mpc import ConfidenceMpcEnv
 
 
 def ftl_confidence_baseline(
-    env: ConfidenceMpcEnv,
-    T: int,
-    lambda0: float = 1.0,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
+    env: ConfidenceMpcEnv, T: int, lambda0: float = 1.0
 ) -> Trajectory:
     """Run the closed loop with the follow-the-leader confidence rule.
 
     Only the scalar-confidence case (k = 1) is supported. Returns the
     trajectory; thetas[t] holds the lambda used at step t. Raises
-    StateBlowup once the state norm exceeds blowup_cap or is not finite.
+    StateBlowup once the state norm exceeds DEFAULT_BLOWUP_CAP or is not
+    finite.
     """
     if env.k != 1:
         raise ValueError("the follow-the-leader baseline needs k = 1")
@@ -41,7 +39,7 @@ def ftl_confidence_baseline(
     costs = np.empty(T)
 
     for t in range(T):
-        check_state(t, x, blowup_cap)
+        check_state(t, x, DEFAULT_BLOWUP_CAP)
         theta = np.array([lam])
         u = env.policy(t, x, theta)
         states[t] = x

@@ -42,6 +42,15 @@ class TestGapsStep:
             assert state.buffer == []
             x = tanh_system.dynamics(t, x, tanh_system.policy(t, x, state.theta))
 
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_state_from_t_and_theta_only(self, tanh_system, B):
+        cfg = GapsConfig(eta=0.1, B=B, theta0=np.zeros(2), set=tanh_system.theta_set)
+        state = GapsState(t=0, theta=np.zeros(2))
+        assert state.ring.shape == (0, 0, 2)
+        jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
+        _, state = gaps_step(state, jac, cfg)
+        assert state.ring.shape == (min(B - 1, 1), tanh_system.n, 2)
+
     def test_recursion_equals_brute_force_on_confidence_env(self):
         env = make_fig2_env(T=60, seed=4)
         cfg = GapsConfig(eta=1e-3, B=10, theta0=[1.0], set=env.theta_set)
