@@ -59,7 +59,7 @@ from .system import (
     Trajectory,
     WholeSpace,
     check_jacobians,
-    project,
+    closed_loop,
     rollout,
 )
 

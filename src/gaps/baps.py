@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbabilitySampled
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state
+from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, closed_loop
 
 # Above this exponent the multiplicative update switches to log-space.
 _EXP_GUARD = 50.0
@@ -132,6 +132,38 @@ class BapsResult:
     batch_costs: np.ndarray  # (num_batches,)
 
 
+class _BapsSelector:
+    """Samples an arm at each batch start and holds it for b steps; the
+    summed batch cost drives baps_update at each batch end."""
+
+    def __init__(self, arms: list[np.ndarray], config: BapsConfig, num_batches: int):
+        self.arms = arms
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+        self.state = BapsState.initial(config.k)
+        self.arm_history = np.empty(num_batches, dtype=int)
+        self.dist_history = np.empty((num_batches + 1, config.k))
+        self.batch_costs = np.empty(num_batches)
+
+    def propose(self, t, x):
+        if t % self.config.b == 0:
+            m = self.state.m
+            self.dist_history[m] = self.state.s
+            self.arm = int(self.rng.choice(self.config.k, p=self.state.s))
+            self.arm_history[m] = self.arm
+            self.batch_cost = 0.0
+        return self.arms[self.arm]
+
+    def observe(self, t, x, u, cost):
+        self.batch_cost += cost
+        if (t + 1) % self.config.b == 0:
+            m = self.state.m
+            self.batch_costs[m] = self.batch_cost
+            s = baps_update(self.state.s, self.arm, self.batch_cost, self.config.eta)
+            self.state = BapsState(s=s, m=m + 1)
+        return None
+
+
 def run_baps(
     system: ControlSystem,
     arms: list[np.ndarray],
@@ -144,7 +176,8 @@ def run_baps(
     At each batch start an arm is sampled from the current distribution and
     its parameter is held for b steps; the realized batch cost drives the
     update. A trailing partial batch (T not divisible by b) is truncated
-    with a warning.
+    with a warning, and one `closed_loop` call runs the b * (T // b) steps
+    that remain.
     """
     arms = [np.atleast_1d(np.asarray(a, dtype=float)) for a in arms]
     if len(arms) != config.k:
@@ -157,52 +190,13 @@ def run_baps(
             f"truncating to {num_batches * config.b} steps",
             stacklevel=2,
         )
-    T_eff = num_batches * config.b
 
-    rng = np.random.default_rng(config.seed)
-    state = BapsState.initial(config.k)
-    x = np.array(system.x0, dtype=float)
-
-    states = np.empty((T_eff, system.n))
-    actions = np.empty((T_eff, system.m))
-    thetas = np.empty((T_eff, system.d))
-    costs = np.empty(T_eff)
-    arm_history = np.empty(num_batches, dtype=int)
-    dist_history = np.empty((num_batches + 1, config.k))
-    batch_costs = np.empty(num_batches)
-
-    t = 0
-    for m in range(num_batches):
-        dist_history[m] = state.s
-        j = int(rng.choice(config.k, p=state.s))
-        arm_history[m] = j
-        theta = arms[j]
-        batch_cost = 0.0
-        for _ in range(config.b):
-            check_state(t, x, blowup_cap)
-            u = system.policy(t, x, theta)
-            c = system.cost(t, x, u)
-            states[t] = x
-            actions[t] = u
-            thetas[t] = theta
-            costs[t] = c
-            batch_cost += c
-            x = system.dynamics(t, x, u)
-            t += 1
-        batch_costs[m] = batch_cost
-        state = BapsState(s=baps_update(state.s, j, batch_cost, config.eta), m=m + 1)
-    dist_history[num_batches] = state.s
-
-    traj = Trajectory(
-        states=states,
-        actions=actions,
-        thetas=thetas,
-        costs=costs,
-        final_state=x,
-    )
+    selector = _BapsSelector(arms, config, num_batches)
+    traj = closed_loop(system, selector, num_batches * config.b, blowup_cap)
+    selector.dist_history[num_batches] = selector.state.s
     return BapsResult(
         trajectory=traj,
-        arm_history=arm_history,
-        distribution_history=dist_history,
-        batch_costs=batch_costs,
+        arm_history=selector.arm_history,
+        distribution_history=selector.dist_history,
+        batch_costs=selector.batch_costs,
     )

@@ -96,7 +96,10 @@ def _observed_state_sup(system, pset, eps, horizon, rng) -> float:
     sup = np.linalg.norm(x)
     for t in range(horizon):
         x = system.dynamics(t, x, system.policy(t, x, theta_seq[t]))
-        sup = max(sup, float(np.linalg.norm(x)))
+        norm = float(np.linalg.norm(x))
+        if not math.isfinite(norm):
+            raise Divergence(f"closed-loop rollout reached norm {norm:.3e} at step {t}")
+        sup = max(sup, norm)
     return sup
 
 
@@ -109,7 +112,10 @@ def estimate_stability_radius(
     rng,
     divergence_cap: float = DIVERGENCE_FACTOR,
 ) -> float:
-    """Max state norm reached from the zero state under slow sequences."""
+    """Max state norm reached from the zero state under slow sequences.
+
+    Raises Divergence when a norm exceeds divergence_cap or is not finite.
+    """
     rng = _as_rng(rng)
     t0_max = max(0, getattr(system, "T", horizon) - horizon)
     radius = 0.0
@@ -121,7 +127,7 @@ def estimate_stability_radius(
             t = t0 + i
             x = system.dynamics(t, x, system.policy(t, x, theta_seq[i]))
             norm = float(np.linalg.norm(x))
-            if norm > divergence_cap:
+            if not norm <= divergence_cap:
                 raise Divergence(
                     f"zero-state rollout reached norm {norm:.3e} at step {t}"
                 )
@@ -150,7 +156,8 @@ def estimate_contraction(
     oscillatory closed loops whose error norm is not monotone). log C_hat is
     then the max over samples of log(|dx_t|/|dx_0|) - t log rho_hat, so the
     envelope dominates 100% of the sample regardless of the window. Raises
-    Divergence when any pair separates by more than 1e6x.
+    Divergence when any pair separates by more than 1e6x or a state is not
+    finite.
 
     With R_C_probe unset, twice the observed closed-loop state sup is used
     and flagged in the returned estimate.
@@ -175,9 +182,9 @@ def estimate_contraction(
         norms = _pair_decay_curve(system, x, x_prime, theta_seq, t0, horizon)
         if norms[0] == 0.0:
             continue
-        if np.max(norms) > DIVERGENCE_FACTOR * norms[0]:
+        if not np.max(norms) <= DIVERGENCE_FACTOR * norms[0]:
             raise Divergence(
-                f"pair separation grew by {np.max(norms) / norms[0]:.3e}x; "
+                f"pair separation grew by a factor of {np.max(norms) / norms[0]:.3e}; "
                 "the contraction assumption fails on this parameter set"
             )
         floor = _CONVERGED_FLOOR * norms[0]

@@ -22,7 +22,7 @@ from .system import (
     StepJacobians,
     Trajectory,
     DEFAULT_BLOWUP_CAP,
-    check_state,
+    closed_loop,
 )
 
 DEFAULT_BUFFER_LENGTH = 32
@@ -138,6 +138,24 @@ def gaps_step(
     return grad, GapsState(t=state.t + 1, theta=theta_next, ring=ring)
 
 
+class _GapsSelector:
+    """Plays the current theta; each observed step feeds its visited-point
+    Jacobians to gaps_step and returns G_t."""
+
+    def __init__(self, system: ControlSystem, config: GapsConfig):
+        self.system = system
+        self.config = config
+        self.state = GapsState.initial(config)
+
+    def propose(self, t, x):
+        return self.state.theta
+
+    def observe(self, t, x, u, cost):
+        jac = self.system.jacobians(t, x, self.state.theta)
+        grad, self.state = gaps_step(self.state, jac, self.config)
+        return grad
+
+
 def run_gaps(
     system: ControlSystem,
     config: GapsConfig,
@@ -146,36 +164,8 @@ def run_gaps(
 ) -> Trajectory:
     """Run the closed loop for T steps, adapting theta online.
 
-    Each step observes x_t, acts with the current theta_t, records the stage
-    cost, and feeds the visited-point Jacobians to the buffer update. The
-    returned trajectory records theta_t and G_t per step.
+    Each step of `closed_loop` acts with the current theta_t and feeds the
+    visited-point Jacobians to the ring update. The returned trajectory
+    records theta_t and G_t per step.
     """
-    state = GapsState.initial(config)
-    x = np.array(system.x0, dtype=float)
-
-    states = np.empty((T, system.n))
-    actions = np.empty((T, system.m))
-    thetas = np.empty((T, system.d))
-    costs = np.empty(T)
-    grads = np.empty((T, system.d))
-
-    for t in range(T):
-        check_state(t, x, blowup_cap)
-        theta = state.theta
-        u = system.policy(t, x, theta)
-        states[t] = x
-        actions[t] = u
-        thetas[t] = theta
-        costs[t] = system.cost(t, x, u)
-        jac = system.jacobians(t, x, theta)
-        grads[t], state = gaps_step(state, jac, config)
-        x = system.dynamics(t, x, u)
-
-    return Trajectory(
-        states=states,
-        actions=actions,
-        thetas=thetas,
-        costs=costs,
-        final_state=x,
-        grads=grads,
-    )
+    return closed_loop(system, _GapsSelector(system, config), T, blowup_cap)

@@ -11,8 +11,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..system import DEFAULT_BLOWUP_CAP, Trajectory, check_state
+from ..system import Trajectory, closed_loop
 from .confidence_mpc import ConfidenceMpcEnv
+
+
+class _FtlSelector:
+    """Plays the minimizer of the accumulated one-step quadratics in lambda,
+    clamped to [0, 1]."""
+
+    def __init__(self, env: ConfidenceMpcEnv, lambda0: float):
+        self.env = env
+        self.lam = float(lambda0)
+        self.sum_quad = 0.0  # sum of quadratic coefficients alpha_t
+        self.sum_lin = 0.0  # sum of linear coefficients beta_t
+
+    def propose(self, t, x):
+        return np.array([self.lam])
+
+    def observe(self, t, x, u, cost):
+        # One-step counterfactual cost in lambda: with u(l) = u0 - l * h and
+        # x+(l) = x0+ - l * B h, the quadratic u'Ru + x+'Qf x+ has
+        # coefficients alpha, beta below.
+        env = self.env
+        K, _ = env._plan(t)
+        h = env.feedforward_terms(t)[0]  # (m,), lead-0 prediction response
+        u0 = -K @ x
+        Bh = env.B[t] @ h
+        x_next0 = env.A[t] @ x + env.B[t] @ u0 + env.w[t]
+        self.sum_quad += float(h @ env.R[t] @ h + Bh @ env.Qf @ Bh)
+        self.sum_lin += float(-2.0 * (h @ env.R[t] @ u0) - 2.0 * (Bh @ env.Qf @ x_next0))
+        if self.sum_quad > 1e-12:
+            self.lam = float(np.clip(-self.sum_lin / (2.0 * self.sum_quad), 0.0, 1.0))
+        return None
 
 
 def ftl_confidence_baseline(
@@ -27,47 +57,4 @@ def ftl_confidence_baseline(
     """
     if env.k != 1:
         raise ValueError("the follow-the-leader baseline needs k = 1")
-
-    lam = float(lambda0)
-    sum_quad = 0.0  # sum of quadratic coefficients alpha_t
-    sum_lin = 0.0  # sum of linear coefficients beta_t
-    x = np.array(env.x0, dtype=float)
-
-    states = np.empty((T, env.n))
-    actions = np.empty((T, env.m))
-    thetas = np.empty((T, 1))
-    costs = np.empty(T)
-
-    for t in range(T):
-        check_state(t, x, DEFAULT_BLOWUP_CAP)
-        theta = np.array([lam])
-        u = env.policy(t, x, theta)
-        states[t] = x
-        actions[t] = u
-        thetas[t] = theta
-        costs[t] = env.cost(t, x, u)
-
-        # One-step counterfactual cost in lambda: with u(l) = u0 - l * h and
-        # x+(l) = x0+ - l * B h, the quadratic u'Ru + x+'Qf x+ has
-        # coefficients alpha, beta below.
-        K, _ = env._plan(t)
-        h = env.feedforward_terms(t)[0]  # (m,), lead-0 prediction response
-        u0 = -K @ x
-        Bh = env.B[t] @ h
-        x_next0 = env.A[t] @ x + env.B[t] @ u0 + env.w[t]
-        alpha = float(h @ env.R[t] @ h + Bh @ env.Qf @ Bh)
-        beta = float(-2.0 * (h @ env.R[t] @ u0) - 2.0 * (Bh @ env.Qf @ x_next0))
-        sum_quad += alpha
-        sum_lin += beta
-        if sum_quad > 1e-12:
-            lam = float(np.clip(-sum_lin / (2.0 * sum_quad), 0.0, 1.0))
-
-        x = env.dynamics(t, x, u)
-
-    return Trajectory(
-        states=states,
-        actions=actions,
-        thetas=thetas,
-        costs=costs,
-        final_state=x,
-    )
+    return closed_loop(env, _FtlSelector(env, lambda0), T)

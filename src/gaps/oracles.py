@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GapsConfig
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state
+from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state, closed_loop
 
 
 class Surrogates(NamedTuple):
@@ -124,6 +124,25 @@ def ideal_gradient(
     raise ValueError(f"unknown mode {mode!r}, expected 'chain' or 'finite_diff'")
 
 
+class _IdealOgdSelector:
+    """Plays the current theta; each observed step takes a projected step
+    along the exact surrogate gradient at that theta."""
+
+    def __init__(self, system: ControlSystem, config: GapsConfig, blowup_cap: float):
+        self.system = system
+        self.config = config
+        self.blowup_cap = blowup_cap
+        self.theta = config.theta0.copy()
+
+    def propose(self, t, x):
+        return self.theta
+
+    def observe(self, t, x, u, cost):
+        grad = ideal_gradient(self.system, self.theta, t, mode="chain", blowup_cap=self.blowup_cap)
+        self.theta = self.config.set.project(self.theta - self.config.eta * grad)
+        return grad
+
+
 def run_ideal_ogd(
     system: ControlSystem,
     config: GapsConfig,
@@ -132,37 +151,11 @@ def run_ideal_ogd(
 ) -> Trajectory:
     """Projected gradient descent on the exact surrogate gradients.
 
-    Identical closed loop to the streaming runner, but each update uses the
+    The same `closed_loop` as the streaming runner, but each update uses the
     O(t) resimulated gradient at the current parameter, so the total cost is
     O(T^2): a desk-scale reference, not a deployable algorithm.
     """
-    theta = config.theta0.copy()
-    x = np.array(system.x0, dtype=float)
-    states = np.empty((T, system.n))
-    actions = np.empty((T, system.m))
-    thetas = np.empty((T, system.d))
-    costs = np.empty(T)
-    grads = np.empty((T, system.d))
-
-    for t in range(T):
-        check_state(t, x, blowup_cap)
-        u = system.policy(t, x, theta)
-        states[t] = x
-        actions[t] = u
-        thetas[t] = theta
-        costs[t] = system.cost(t, x, u)
-        grads[t] = ideal_gradient(system, theta, t, mode="chain", blowup_cap=blowup_cap)
-        theta = config.set.project(theta - config.eta * grads[t])
-        x = system.dynamics(t, x, u)
-
-    return Trajectory(
-        states=states,
-        actions=actions,
-        thetas=thetas,
-        costs=costs,
-        final_state=x,
-        grads=grads,
-    )
+    return closed_loop(system, _IdealOgdSelector(system, config, blowup_cap), T, blowup_cap)
 
 
 class FiniteMemoryGradient(NamedTuple):

@@ -1,4 +1,4 @@
-"""Abstract control system interface, parameter sets, and trajectory rollout.
+"""Abstract control system interface, parameter sets, and the closed loop.
 
 A ControlSystem bundles per-step dynamics, policy, and cost functions with
 their analytic partial derivatives. Disturbance realizations are drawn once
@@ -6,13 +6,17 @@ at construction from a seeded generator, so an instance is a deterministic
 function of (t, x, u) thereafter; the same instance can therefore be
 resimulated from step 0 with a different parameter, which is what the
 oracle module relies on.
+
+Every runner is one call of `closed_loop(system, selector, T)`: the loop
+observes x_t, asks the selector for theta_t, plays the policy, and hands
+the step back to the selector. Only the selectors differ between runners.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,11 +113,6 @@ class Ball(ParameterSet):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
 
-def project(pset: ParameterSet, theta: np.ndarray) -> np.ndarray:
-    """Euclidean projection of theta onto the set."""
-    return pset.project(theta)
-
-
 # ---------------------------------------------------------------------------
 # Jacobians and trajectories
 
@@ -180,7 +179,7 @@ class Trajectory:
     """Time-indexed record of a closed-loop run of length T.
 
     states[t], actions[t], thetas[t], costs[t] describe step t; final_state
-    is x_T. jacobians and grads are filled only when requested/recorded.
+    is x_T. grads is filled only when the selector returned gradients.
     """
 
     states: np.ndarray  # (T, n)
@@ -188,9 +187,7 @@ class Trajectory:
     thetas: np.ndarray  # (T, d)
     costs: np.ndarray  # (T,)
     final_state: np.ndarray  # (n,)
-    jacobians: list[StepJacobians] | None = None
     grads: np.ndarray | None = None  # (T, d), recorded by the online runners
-    extras: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.costs.shape[0]
@@ -259,16 +256,9 @@ class ControlSystem(abc.ABC):
         """Independent copy sharing the same frozen disturbance realization."""
         return copy.deepcopy(self)
 
-    def step(self, t: int, x: np.ndarray, theta: np.ndarray):
-        """Evaluate one closed-loop step: returns (u, cost, next_state)."""
-        u = self.policy(t, x, theta)
-        c = self.cost(t, x, u)
-        x_next = self.dynamics(t, x, u)
-        return u, c, x_next
-
 
 # ---------------------------------------------------------------------------
-# Rollout and Jacobian validation
+# The closed loop and Jacobian validation
 
 
 def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
@@ -286,12 +276,68 @@ def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
         raise StateBlowup(t, float(norm), blowup_cap)
 
 
+def closed_loop(
+    system: ControlSystem,
+    selector,
+    T: int,
+    blowup_cap: float = DEFAULT_BLOWUP_CAP,
+) -> Trajectory:
+    """Run T steps of online policy selection on one trajectory.
+
+    A selector has two methods. `propose(t, x)` returns theta_t for the
+    observed state; `observe(t, x, u, cost)` receives the step just played
+    and returns its gradient, or None for a selector that keeps none. Each
+    step checks x_t against blowup_cap (raising StateBlowup when its norm
+    exceeds the cap or is not finite), plays u_t = policy(t, x_t, theta_t),
+    records the step, and advances the dynamics after the selector has
+    observed it. The trajectory carries grads exactly when the selector
+    returned them.
+    """
+    x = np.array(system.x0, dtype=float)
+    states = np.empty((T, system.n))
+    actions = np.empty((T, system.m))
+    thetas = np.empty((T, system.d))
+    costs = np.empty(T)
+    grads = None
+
+    for t in range(T):
+        check_state(t, x, blowup_cap)
+        theta = selector.propose(t, x)
+        u = system.policy(t, x, theta)
+        cost = system.cost(t, x, u)
+        states[t] = x
+        actions[t] = u
+        thetas[t] = theta
+        costs[t] = cost
+        grad = selector.observe(t, x, u, cost)
+        if grad is not None:
+            if grads is None:
+                grads = np.empty((T, system.d))
+            grads[t] = grad
+        x = system.dynamics(t, x, u)
+
+    return Trajectory(
+        states=states, actions=actions, thetas=thetas, costs=costs, final_state=x, grads=grads
+    )
+
+
+class _Replay:
+    """Selector that plays a fixed parameter sequence and learns nothing."""
+
+    def __init__(self, theta_seq: np.ndarray):
+        self.theta_seq = theta_seq
+
+    def propose(self, t, x):
+        return self.theta_seq[t]
+
+    def observe(self, t, x, u, cost):
+        return None
+
+
 def rollout(
     system: ControlSystem,
     theta_seq,
-    x0: np.ndarray | None = None,
     T: int | None = None,
-    with_jacobians: bool = False,
     blowup_cap: float = DEFAULT_BLOWUP_CAP,
 ) -> Trajectory:
     """Run the closed loop under a given parameter sequence.
@@ -311,32 +357,7 @@ def rollout(
         raise DimensionMismatch(
             f"theta sequence has shape {theta_seq.shape}, need at least ({T}, {system.d})"
         )
-
-    x = np.array(system.x0 if x0 is None else x0, dtype=float)
-    states = np.empty((T, system.n))
-    actions = np.empty((T, system.m))
-    costs = np.empty(T)
-    jacs: list[StepJacobians] | None = [] if with_jacobians else None
-
-    for t in range(T):
-        check_state(t, x, blowup_cap)
-        theta = theta_seq[t]
-        u = system.policy(t, x, theta)
-        states[t] = x
-        actions[t] = u
-        costs[t] = system.cost(t, x, u)
-        if jacs is not None:
-            jacs.append(system.jacobians(t, x, theta))
-        x = system.dynamics(t, x, u)
-
-    return Trajectory(
-        states=states,
-        actions=actions,
-        thetas=theta_seq[:T].copy(),
-        costs=costs,
-        final_state=x,
-        jacobians=jacs,
-    )
+    return closed_loop(system, _Replay(theta_seq), T, blowup_cap)
 
 
 @dataclass

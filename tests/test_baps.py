@@ -147,6 +147,61 @@ class TestRunBaps:
             )
 
 
+def reference_baps(system, arms, cfg, T):
+    """BAPS as one explicit loop over batches and their steps.
+
+    Returns the per-step states, actions, thetas and costs, the arm,
+    distribution and batch-cost histories, and the final state, for the
+    T // b whole batches.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    s = np.full(cfg.k, 1.0 / cfg.k)
+    x = np.array(system.x0, dtype=float)
+    steps, arm_history, dists, batch_costs = [], [], [s], []
+    t = 0
+    for _ in range(T // cfg.b):
+        j = int(rng.choice(cfg.k, p=s))
+        arm_history.append(j)
+        batch_cost = 0.0
+        for _ in range(cfg.b):
+            u = system.policy(t, x, arms[j])
+            c = system.cost(t, x, u)
+            steps.append((x, u, arms[j], c))
+            batch_cost += c
+            x = system.dynamics(t, x, u)
+            t += 1
+        batch_costs.append(batch_cost)
+        s = baps_update(s, j, batch_cost, cfg.eta)
+        dists.append(s)
+    states, actions, thetas, costs = (np.array(col) for col in zip(*steps))
+    histories = (np.array(arm_history), np.array(dists), np.array(batch_costs))
+    return states, actions, thetas, costs, histories, x
+
+
+class TestClosedLoopReference:
+    def test_run_baps_equals_reference_loop(self):
+        # T = 1005 with b = 50 leaves a partial trailing batch of 5 steps.
+        T = 1005
+        env = make_horizon_selection_env([1, 2, 3], T, seed=0)
+        cfg = BapsConfig(k=3, b=50, eta=2e-3, seed=7)
+        with pytest.warns(UserWarning, match="not divisible"):
+            res = run_baps(env, env.arm_thetas(), cfg, T)
+        states, actions, thetas, costs, (arms, dists, batch_costs), x = reference_baps(
+            env, env.arm_thetas(), cfg, T
+        )
+        traj = res.trajectory
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.actions, actions)
+        assert np.array_equal(traj.thetas, thetas)
+        assert np.array_equal(traj.costs, costs)
+        assert np.array_equal(res.arm_history, arms)
+        assert np.array_equal(res.distribution_history, dists)
+        assert np.array_equal(res.batch_costs, batch_costs)
+        assert np.array_equal(traj.final_state, x)
+        assert len(set(arms.tolist())) > 1
+        assert traj.grads is None
+
+
 class TestVectorizedBatch:
     def test_matches_per_env_runs(self):
         cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=0)

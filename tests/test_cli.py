@@ -127,6 +127,20 @@ class TestRun:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    def test_nan_disturbance_fails_contraction(self, tmp_path, monkeypatch, capsys):
+        build = gaps.cli.build_env
+
+        def poisoned(config):
+            env = build(config)
+            env.w[50] = np.nan
+            return env
+
+        monkeypatch.setattr(gaps.cli, "build_env", poisoned)
+        argv = ["contraction", "--out", str(tmp_path / "con")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (tmp_path / "con" / "contraction.json").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # A disturbance-feedback radius far beyond the blow-up cap plus a
         # huge step size drives the state over the cap within a few steps.

@@ -146,3 +146,26 @@ class TestStabilityRadius:
         env = make_fig2_env(T=600, seed=8)
         r = estimate_stability_radius(env, env.theta_set, eps=0.2, runs=20, horizon=500, rng=5)
         assert 0.0 < r < 50.0
+
+
+class TestNonFiniteStates:
+    """A NaN disturbance is a divergence, not a NaN estimate."""
+
+    @staticmethod
+    def poisoned_env(step):
+        env = make_fig2_env(T=200, seed=0)
+        env.w[step] = np.nan
+        return env
+
+    @pytest.mark.parametrize("step", [5, 50])
+    @pytest.mark.parametrize("probe", [1.0, None])
+    def test_estimate_contraction_raises(self, step, probe):
+        env = self.poisoned_env(step)
+        with pytest.raises(Divergence):
+            estimate_contraction(env, env.theta_set, eps=0.0, R_C_probe=probe, rng=0)
+
+    @pytest.mark.parametrize("step", [5, 50])
+    def test_stability_radius_raises(self, step):
+        env = self.poisoned_env(step)
+        with pytest.raises(Divergence):
+            estimate_stability_radius(env, env.theta_set, 0.0, runs=50, horizon=30, rng=0)

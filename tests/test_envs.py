@@ -255,6 +255,33 @@ class TestFtl:
         assert ftl.thetas[-1, 0] < gaps_traj.thetas[-1, 0]
         assert gaps_traj.thetas[-1, 0] > 0.75
 
+    def test_equals_reference_loop(self):
+        # The follow-the-leader rule as one explicit loop over steps.
+        T = 200
+        env = make_fig2_env(T=T, seed=0)
+        lam, sum_quad, sum_lin = 1.0, 0.0, 0.0
+        x = np.array(env.x0, dtype=float)
+        steps = []
+        for t in range(T):
+            theta = np.array([lam])
+            u = env.policy(t, x, theta)
+            steps.append((x, u, theta, env.cost(t, x, u)))
+            K, _ = env._plan(t)
+            h = env.feedforward_terms(t)[0]
+            u0 = -K @ x
+            Bh = env.B[t] @ h
+            x_next0 = env.A[t] @ x + env.B[t] @ u0 + env.w[t]
+            sum_quad += float(h @ env.R[t] @ h + Bh @ env.Qf @ Bh)
+            sum_lin += float(-2.0 * (h @ env.R[t] @ u0) - 2.0 * (Bh @ env.Qf @ x_next0))
+            if sum_quad > 1e-12:
+                lam = float(np.clip(-sum_lin / (2.0 * sum_quad), 0.0, 1.0))
+            x = env.dynamics(t, x, u)
+        traj = ftl_confidence_baseline(env, T)
+        for got, col in zip((traj.states, traj.actions, traj.thetas, traj.costs), zip(*steps)):
+            assert np.array_equal(got, np.array(col))
+        assert np.array_equal(traj.final_state, x)
+        assert traj.grads is None
+
     def test_requires_scalar_confidence(self):
         env = make_fig2_env(T=50, seed=0, k=2)
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from gaps.system import (
     Box,
     WholeSpace,
     check_jacobians,
-    project,
     rollout,
 )
 from conftest import TanhSystem
@@ -16,19 +15,19 @@ from conftest import TanhSystem
 
 class TestProjection:
     def test_box_clamps(self):
-        assert project(Box([0.0], [1.0]), np.array([1.5]))[0] == 1.0
+        assert Box([0.0], [1.0]).project(np.array([1.5]))[0] == 1.0
 
     def test_whole_space_identity(self):
         theta = np.array([3.0, -7.0])
-        assert np.array_equal(project(WholeSpace(2), theta), theta)
+        assert np.array_equal(WholeSpace(2).project(theta), theta)
 
     def test_ball_radial_rescale(self):
-        out = project(Ball([0.0, 0.0], 1.0), np.array([3.0, 4.0]))
+        out = Ball([0.0, 0.0], 1.0).project(np.array([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            project(Box([0.0], [1.0]), np.array([1.0, 2.0]))
+            Box([0.0], [1.0]).project(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "pset",
