@@ -472,10 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted-path config override (repeatable)",
         )
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker count for sweeps (default: cores); ignored elsewhere",
-        )
 
     p_run = sub.add_parser("run", help="run one experiment, write trace + report")
     common(p_run)
@@ -486,6 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. algorithm.params.eta")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--metric", default="total_cost", help="summary metric column")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: cores)"
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run self-check suites")

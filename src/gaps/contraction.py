@@ -117,7 +117,7 @@ def estimate_stability_radius(
     Raises Divergence when a norm exceeds divergence_cap or is not finite.
     """
     rng = _as_rng(rng)
-    t0_max = max(0, getattr(system, "T", horizon) - horizon)
+    t0_max = max(0, system.T - horizon)
     radius = 0.0
     for _ in range(runs):
         t0 = int(rng.integers(0, t0_max + 1))
@@ -170,7 +170,7 @@ def estimate_contraction(
     if window >= horizon:
         raise ValueError("ratio_window must be smaller than horizon")
 
-    t0_max = max(0, getattr(system, "T", horizon) - horizon)
+    t0_max = max(0, system.T - horizon)
     log_ratios = []  # windowed log contraction factors, per step
     curves = []  # (t, log(|dx_t|/|dx_0|)) points
 

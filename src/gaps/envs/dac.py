@@ -10,17 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import solve_dare
+from ..linalg import per_step, quadratic_cost, solve_dare
 from ..system import Ball, ControlSystem, StepJacobians
-
-
-def _per_step(M, T):
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2:
-        return np.broadcast_to(M, (T,) + M.shape)
-    if M.shape[0] < T:
-        raise ValueError(f"sequence of length {M.shape[0]} shorter than {T}")
-    return M
 
 
 class DacEnv(ControlSystem):
@@ -38,11 +29,11 @@ class DacEnv(ControlSystem):
     ):
         self.w = np.atleast_2d(np.asarray(disturbances, dtype=float))
         self.T = self.w.shape[0]
-        self.A = _per_step(A, self.T)
-        self.B = _per_step(B, self.T)
-        self.Q = _per_step(Q, self.T)
-        self.R = _per_step(R, self.T)
-        self.K_stb = _per_step(K_stb, self.T)
+        self.A = per_step(A, self.T)
+        self.B = per_step(B, self.T)
+        self.Q = per_step(Q, self.T)
+        self.R = per_step(R, self.T)
+        self.K_stb = per_step(K_stb, self.T)
         self.h = int(history)
         self.n = self.A.shape[1]
         self.m = self.B.shape[2]
@@ -50,55 +41,46 @@ class DacEnv(ControlSystem):
         self.theta_set = Ball(np.zeros(self.d), radius)
         self.x0 = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float)
 
-    def _past_w(self, t: int, lag: int) -> np.ndarray:
-        # Disturbances before the start of time are zero.
-        return self.w[t - lag] if t - lag >= 0 else np.zeros(self.n)
+    def _past_w(self, t: int) -> np.ndarray:
+        """(h, n) stack of w_{t-1}, ..., w_{t-h}; disturbances before the
+        start of time are zero."""
+        return np.stack(
+            [self.w[t - lag] if t - lag >= 0 else np.zeros(self.n) for lag in range(1, self.h + 1)]
+        )
 
     def matrices(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(theta, dtype=float).reshape(self.h, self.m, self.n)
+        theta = np.asarray(theta, dtype=float)
+        return theta.reshape(theta.shape[:-1] + (self.h, self.m, self.n))
+
+    # The step math below broadcasts over a leading lane axis of x, theta
+    # and u, so the lane-axis entry points are the same methods.
 
     def policy(self, t, x, theta):
-        Ms = self.matrices(theta)
-        u = -self.K_stb[t] @ x
-        for i in range(1, self.h + 1):
-            u = u + Ms[i - 1] @ self._past_w(t, i)
-        return u
+        past = np.einsum("...hmn,hn->...m", self.matrices(theta), self._past_w(t))
+        return -x @ self.K_stb[t].T + past
 
     def dynamics(self, t, x, u):
-        return self.A[t] @ x + self.B[t] @ u + self.w[t]
+        return x @ self.A[t].T + u @ self.B[t].T + self.w[t]
 
     def cost(self, t, x, u):
-        return float(x @ self.Q[t] @ x + u @ self.R[t] @ u)
+        return quadratic_cost(x, self.Q[t], u, self.R[t])
 
     def jacobians(self, t, x, theta):
         u = self.policy(t, x, theta)
-        blocks = [
-            np.kron(np.eye(self.m), self._past_w(t, i)[None, :])
-            for i in range(1, self.h + 1)
-        ]
+        blocks = [np.kron(np.eye(self.m), w[None, :]) for w in self._past_w(t)]
         return StepJacobians(
             dg_dx=self.A[t],
             dg_du=self.B[t],
             dpi_dx=-self.K_stb[t],
             dpi_dtheta=np.hstack(blocks),
-            df_dx=2.0 * self.Q[t] @ x,
-            df_du=2.0 * self.R[t] @ u,
+            df_dx=2.0 * x @ self.Q[t].T,
+            df_du=2.0 * u @ self.R[t].T,
         )
 
-    def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        G = thetas.shape[0]
-        Ms = thetas.reshape(G, self.h, self.m, self.n)
-        X = np.broadcast_to(self.x0, (G, self.n)).copy()
-        out = np.empty((T, G))
-        for t in range(T):
-            past = np.stack([self._past_w(t, i) for i in range(1, self.h + 1)])
-            U = -X @ self.K_stb[t].T + np.einsum("ghmn,hn->gm", Ms, past)
-            out[t] = np.einsum("gi,ij,gj->g", X, self.Q[t], X) + np.einsum(
-                "gi,ij,gj->g", U, self.R[t], U
-            )
-            X = X @ self.A[t].T + U @ self.B[t].T + self.w[t]
-        return out
+    policy_lanes = policy
+    dynamics_lanes = dynamics
+    cost_lanes = cost
+    jacobians_lanes = jacobians
 
 
 def make_dac_env(

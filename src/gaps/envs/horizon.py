@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import finite_horizon_lq, solve_dare
-from ..system import Box, ControlSystem, StepJacobians
+from ..linalg import finite_horizon_lq, quadratic_cost, solve_dare
+from ..system import DEFAULT_BLOWUP_CAP, Box, ControlSystem, StepJacobians, check_state
 
 
 class HorizonSelectionEnv(ControlSystem):
@@ -87,17 +87,19 @@ class HorizonSelectionEnv(ControlSystem):
         )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
+        # Overrides the shared loop to look up each lane's arm once, not
+        # once per step through the lane entry points.
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         arms = np.array([self._arm(th) for th in thetas])
         G = arms.shape[0]
         gains = np.stack([self._gains[j] for j in arms])  # (G, m, n)
+        ff = self._ff[:T, arms]  # (T, G, m)
         X = np.broadcast_to(self.x0, (G, self.n)).copy()
         out = np.empty((T, G))
         for t in range(T):
-            U = -np.einsum("gij,gj->gi", gains, X) - self._ff[t, arms]
-            out[t] = np.einsum("gi,ij,gj->g", X, self.Q, X) + np.einsum(
-                "gi,ij,gj->g", U, self.R, U
-            )
+            check_state(t, X, DEFAULT_BLOWUP_CAP)
+            U = -np.einsum("gij,gj->gi", gains, X) - ff[t]
+            out[t] = quadratic_cost(X, self.Q, U, self.R)
             X = X @ self.A.T + U @ self.B.T + self.w[t]
         return out
 

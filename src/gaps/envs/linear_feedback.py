@@ -9,17 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..linalg import per_step, quadratic_cost
 from ..system import ControlSystem, ParameterSet, StepJacobians
-
-
-def _per_step(M: np.ndarray, T: int) -> np.ndarray:
-    """Broadcast a constant matrix to (T, ...) or validate a sequence."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2:
-        return np.broadcast_to(M, (T,) + M.shape)
-    if M.shape[0] < T:
-        raise ValueError(f"matrix sequence of length {M.shape[0]} shorter than T={T}")
-    return M
 
 
 class LinearFeedbackEnv(ControlSystem):
@@ -35,10 +26,10 @@ class LinearFeedbackEnv(ControlSystem):
     ):
         self.w = np.atleast_2d(np.asarray(disturbances, dtype=float))
         self.T = self.w.shape[0]
-        self.A = _per_step(A, self.T)
-        self.B = _per_step(B, self.T)
-        self.Q = _per_step(Q, self.T)
-        self.R = _per_step(R, self.T)
+        self.A = per_step(A, self.T)
+        self.B = per_step(B, self.T)
+        self.Q = per_step(Q, self.T)
+        self.R = per_step(R, self.T)
         self.n = self.A.shape[1]
         self.m = self.B.shape[2]
         if theta_set.dim != self.n * self.m:
@@ -48,42 +39,35 @@ class LinearFeedbackEnv(ControlSystem):
         self.x0 = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float)
 
     def gain(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(theta, dtype=float).reshape(self.m, self.n)
+        theta = np.asarray(theta, dtype=float)
+        return theta.reshape(theta.shape[:-1] + (self.m, self.n))
+
+    # The step math below broadcasts over a leading lane axis of x, theta
+    # and u, so the lane-axis entry points are the same methods.
 
     def policy(self, t, x, theta):
-        return -self.gain(theta) @ x
+        return -np.einsum("...ij,...j->...i", self.gain(theta), x)
 
     def dynamics(self, t, x, u):
-        return self.A[t] @ x + self.B[t] @ u + self.w[t]
+        return x @ self.A[t].T + u @ self.B[t].T + self.w[t]
 
     def cost(self, t, x, u):
-        return float(x @ self.Q[t] @ x + u @ self.R[t] @ u)
+        return quadratic_cost(x, self.Q[t], u, self.R[t])
 
     def jacobians(self, t, x, theta):
-        K = self.gain(theta)
-        u = -K @ x
+        u = self.policy(t, x, theta)
         # u_i = -sum_j theta[i*n + j] x_j, so the theta block is -I_m (x) x'.
-        dpi_dtheta = -np.kron(np.eye(self.m), x[None, :])
+        dpi_dtheta = -np.einsum("ij,...k->...ijk", np.eye(self.m), x)
         return StepJacobians(
             dg_dx=self.A[t],
             dg_du=self.B[t],
-            dpi_dx=-K,
-            dpi_dtheta=dpi_dtheta,
-            df_dx=2.0 * self.Q[t] @ x,
-            df_du=2.0 * self.R[t] @ u,
+            dpi_dx=-self.gain(theta),
+            dpi_dtheta=dpi_dtheta.reshape(x.shape[:-1] + (self.m, self.d)),
+            df_dx=2.0 * x @ self.Q[t].T,
+            df_du=2.0 * u @ self.R[t].T,
         )
 
-    def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
-        """Vectorized constant-theta rollouts; entry [t, g] is F_t(theta_g)."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        G = thetas.shape[0]
-        Ks = thetas.reshape(G, self.m, self.n)
-        X = np.broadcast_to(self.x0, (G, self.n)).copy()
-        out = np.empty((T, G))
-        for t in range(T):
-            U = -np.einsum("gij,gj->gi", Ks, X)
-            out[t] = np.einsum("gi,ij,gj->g", X, self.Q[t], X) + np.einsum(
-                "gi,ij,gj->g", U, self.R[t], U
-            )
-            X = X @ self.A[t].T + U @ self.B[t].T + self.w[t]
-        return out
+    policy_lanes = policy
+    dynamics_lanes = dynamics
+    cost_lanes = cost
+    jacobians_lanes = jacobians

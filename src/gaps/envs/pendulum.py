@@ -117,28 +117,35 @@ class PendulumEnv(ControlSystem):
         A, B = self.linearization(mass)
         return solve_dare(A, B, self.Q, self.R).K.reshape(-1)
 
-    def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        G = thetas.shape[0]
+    # Lane-axis step math, the same model as the per-state methods above.
+    # Those stay scalar: broadcasting them slows the streaming selector,
+    # which calls them one state at a time.
+
+    def policy_lanes(self, t, X, thetas):
+        return -(thetas * X).sum(axis=1, keepdims=True)
+
+    def dynamics_lanes(self, t, X, U):
         p = self.p
-        X = np.broadcast_to(self.x0, (G, 2)).copy()
-        out = np.empty((T, G))
-        for t in range(T):
-            U = -np.sum(thetas * X, axis=1)
-            out[t] = (
-                p.q_angle * X[:, 0] ** 2
-                + p.q_velocity * X[:, 1] ** 2
-                + p.r_control * U**2
-            )
-            ml2 = self.mass_at(t) * p.length**2
-            accel = (
-                (p.gravity / p.length) * np.sin(X[:, 0])
-                - (p.damping / ml2) * X[:, 1]
-                + U / ml2
-                + self.w[t]
-            )
-            X = np.stack([X[:, 0] + p.dt * X[:, 1], X[:, 1] + p.dt * accel], axis=1)
+        ml2 = self.mass_at(t) * p.length**2
+        angle, velocity = X.T
+        accel = (
+            (p.gravity / p.length) * np.sin(angle)
+            - (p.damping / ml2) * velocity
+            + U[:, 0] / ml2
+            + self.w[t]
+        )
+        out = np.empty_like(X)
+        out[:, 0] = angle + p.dt * velocity
+        out[:, 1] = velocity + p.dt * accel
         return out
+
+    def cost_lanes(self, t, X, U):
+        p = self.p
+        return p.q_angle * X[:, 0] ** 2 + p.q_velocity * X[:, 1] ** 2 + p.r_control * U[:, 0] ** 2
+
+    # Bound here, not only inherited, so that per-class hooks on this name
+    # (the benchmark's tracer) find it in the class namespace.
+    batch_surrogate_costs = ControlSystem.batch_surrogate_costs
 
 
 def make_pendulum_env(

@@ -1,4 +1,4 @@
-"""Small dense Riccati solvers used by the environments and the gradient buffer.
+"""Small dense Riccati solvers and step-math helpers used by the environments.
 
 Matrices here are a few rows/columns at most, so everything is plain numpy
 with deterministic fixed-point iteration rather than structured eigensolvers.
@@ -28,6 +28,21 @@ def solve_linear(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
         raise SingularMatrix(f"pivot below {PIVOT_TOL:g} while solving a {M.shape} system")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def per_step(M, T: int) -> np.ndarray:
+    """Broadcast a constant matrix to (T, ...) or validate a sequence."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 2:
+        return np.broadcast_to(M, (T,) + M.shape)
+    if M.shape[0] < T:
+        raise ValueError(f"matrix sequence of length {M.shape[0]} shorter than T={T}")
+    return M
+
+
+def quadratic_cost(x: np.ndarray, Q: np.ndarray, u: np.ndarray, R: np.ndarray):
+    """x'Qx + u'Ru, one value per lane when x and u carry a leading lane axis."""
+    return np.einsum("...i,ij,...j->...", x, Q, x) + np.einsum("...i,ij,...j->...", u, R, u)
 
 
 @dataclass

@@ -102,19 +102,13 @@ def surrogate_table(system: ControlSystem, grid: np.ndarray, T: int) -> np.ndarr
     """(T, |grid|) table of surrogate costs: entry [t, g] is the stage cost
     at t of the constant-theta rollout for grid point g.
 
-    Systems may expose batch_surrogate_costs(thetas, T) as a vectorized fast
-    path; otherwise each grid point costs one T-step rollout.
+    All grid points run as lanes of one system.batch_surrogate_costs pass,
+    which raises StateBlowup when a lane's state blows up or is not finite.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise EmptyGrid("surrogate table needs at least one grid point")
-    fast = getattr(system, "batch_surrogate_costs", None)
-    if fast is not None:
-        return np.asarray(fast(grid, T), dtype=float)
-    table = np.empty((T, grid.shape[0]))
-    for g, theta in enumerate(grid):
-        table[:, g] = rollout(system, theta, T=T).costs
-    return table
+    return system.batch_surrogate_costs(grid, T)
 
 
 def static_and_adaptive_regret(
@@ -245,10 +239,11 @@ def variation_intensity(
                        for _ in range(sample_count)])
 
     def evaluate(t):
-        g = np.array([system.dynamics(t, xs[i], us[i]) for i in range(sample_count)])
-        pi = np.array([system.policy(t, xs[i], thetas[i]) for i in range(sample_count)])
-        f = np.array([system.cost(t, xs[i], us[i]) for i in range(sample_count)])
-        return g, pi, f
+        return (
+            system.dynamics_lanes(t, xs, us),
+            system.policy_lanes(t, xs, thetas),
+            system.cost_lanes(t, xs, us),
+        )
 
     total = 0.0
     prev = evaluate(0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,15 +205,17 @@ class Trajectory:
 class ControlSystem(abc.ABC):
     """The (dynamics, cost, policy) triple queried one step at a time.
 
-    Implementations expose dims (n, m, d), the initial state x0, the
-    parameter set, per-step evaluations, and the six Jacobian blocks at any
-    visited point. Evaluating twice at identical (t, x, theta) must return
-    identical results: all randomness is fixed at construction.
+    Implementations expose dims (n, m, d), the horizon T their disturbance
+    realization covers, the initial state x0, the parameter set, per-step
+    evaluations, and the six Jacobian blocks at any visited point.
+    Evaluating twice at identical (t, x, theta) must return identical
+    results: all randomness is fixed at construction.
     """
 
     n: int
     m: int
     d: int
+    T: int
     x0: np.ndarray
     theta_set: ParameterSet
 
@@ -245,12 +248,34 @@ class ControlSystem(abc.ABC):
         """(L, n) next states: row i is dynamics(t, X[i], U[i])."""
         return np.array([self.dynamics(t, x, u) for x, u in zip(X, U)])
 
+    def cost_lanes(self, t: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """(L,) stage costs: entry i is cost(t, X[i], U[i])."""
+        return np.array([self.cost(t, x, u) for x, u in zip(X, U)])
+
     def jacobians_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> StepJacobians:
         """Jacobian blocks of every lane, each with a leading lane axis."""
         jacs = [self.jacobians(t, x, theta) for x, theta in zip(X, thetas)]
         return StepJacobians(
             **{name: np.array([getattr(j, name) for j in jacs]) for name in _BLOCK_NDIM}
         )
+
+    def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
+        """(T, L) surrogate costs: entry [t, i] is the stage cost at t of the
+        closed loop that holds thetas[i] from x0.
+
+        All lanes advance together through the lane entry points. Raises
+        StateBlowup once a lane's state norm exceeds DEFAULT_BLOWUP_CAP or is
+        not finite.
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        X = np.tile(np.asarray(self.x0, dtype=float), (thetas.shape[0], 1))
+        out = np.empty((T, thetas.shape[0]))
+        for t in range(T):
+            check_state(t, X, DEFAULT_BLOWUP_CAP)
+            U = self.policy_lanes(t, X, thetas)
+            out[t] = self.cost_lanes(t, X, U)
+            X = self.dynamics_lanes(t, X, U)
+        return out
 
     def clone(self) -> "ControlSystem":
         """Independent copy sharing the same frozen disturbance realization."""
@@ -269,7 +294,9 @@ def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
     norm over all lanes bounds each lane's, so lanes are measured one by
     one only past the cap.
     """
-    norm = np.linalg.norm(x)
+    # The value np.linalg.norm gives, without its call overhead: this runs
+    # at every step of every loop.
+    norm = math.sqrt(np.vdot(x, x))
     if not norm <= blowup_cap and x.ndim == 2:
         norm = np.max(np.linalg.norm(x, axis=1))
     if not norm <= blowup_cap:

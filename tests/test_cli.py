@@ -87,6 +87,11 @@ class TestRun:
         assert main(["run", "--override", "bogus=1", "--out", str(tmp_path / "x")]) == 2
         assert main(["run", "--config", "/nonexistent.json", "--out", str(tmp_path / "y")]) == 2
 
+    def test_jobs_is_a_sweep_only_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--jobs", "2", "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+
     @pytest.mark.parametrize("overrides", [
         ["algorithm.params.eta=-1"],
         ["algorithm.params.B=0"],

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, run_gaps
-from gaps.envs import make_constant_noise_env, make_fig2_env
+from gaps.envs import (
+    IidGaussian,
+    make_constant_noise_env,
+    make_dac_env,
+    make_fig2_env,
+    make_horizon_selection_env,
+    make_pendulum_env,
+)
 from gaps.envs.linear_feedback import LinearFeedbackEnv
-from gaps.errors import EmptyGrid, NonPositiveRegret
+from gaps.errors import EmptyGrid, NonPositiveRegret, StateBlowup
 from gaps.metrics import (
     dynamic_regret,
     local_regret,
@@ -16,6 +23,8 @@ from gaps.metrics import (
 )
 from gaps.oracles import ideal_gradient
 from gaps.system import Box, rollout
+
+from conftest import TanhSystem
 
 
 def brute_force_adaptive(costs, table):
@@ -88,7 +97,86 @@ class TestStaticAdaptive:
             static_and_adaptive_regret(np.ones(3), np.ones((3, 0)), np.ones((0, 1)))
 
 
+class NanOffsetTanh(TanhSystem):
+    """TanhSystem whose drift offset is NaN at one step."""
+
+    nan_step = None
+
+    def _offset(self, t):
+        return np.full(self.n, np.nan) if t == self.nan_step else super()._offset(t)
+
+
+def table_env(name, T):
+    """(system, grid) for every environment and the generic TanhSystem."""
+    rng = np.random.default_rng(11)
+    if name == "fig2":
+        env = make_fig2_env(T=T, seed=3)
+    elif name == "pendulum":
+        env = make_pendulum_env(T, IidGaussian(0.5), seed=3)
+    elif name == "dac":
+        env = make_dac_env(T, seed=3)
+    elif name == "linear_feedback":
+        w = 0.5 * rng.standard_normal((T, 2))
+        A = [[0.6, 0.2], [0.0, 0.7]]
+        env = LinearFeedbackEnv(A, np.eye(2), np.eye(2), np.eye(2), w,
+                                theta_set=Box([0.0] * 4, [0.5] * 4), x0=[0.5, -0.3])
+    elif name == "horizon":
+        env = make_horizon_selection_env([1, 2, 3], T, seed=3)
+        return env, np.stack(env.arm_thetas())
+    else:
+        env = NanOffsetTanh(seed=3)
+    return env, np.stack([env.theta_set.sample(rng) for _ in range(7)])
+
+
+TABLE_ENVS = ["fig2", "pendulum", "dac", "linear_feedback", "horizon", "tanh"]
+
+
+def confidence_mpc_reference_table(env, thetas, T):
+    """The vectorised loop the confidence env carried as its own table."""
+    G = thetas.shape[0]
+    X = np.broadcast_to(env.x0, (G, env.n)).copy()
+    out = np.empty((T, G))
+    for t in range(T):
+        K, _ = env._plan(t)
+        ff = env.feedforward_terms(t)
+        U = -X @ K.T - thetas @ ff
+        out[t] = np.einsum("gi,ij,gj->g", X, env.Q[t], X) + np.einsum(
+            "gi,ij,gj->g", U, env.R[t], U
+        )
+        X = X @ env.A[t].T + U @ env.B[t].T + env.w[t]
+    return out
+
+
 class TestSurrogateTable:
+    @pytest.mark.parametrize("name", TABLE_ENVS)
+    def test_matches_per_grid_point_rollouts(self, name):
+        T = 120
+        env, grid = table_env(name, T)
+        table = surrogate_table(env, grid, T)
+        ref = np.stack([rollout(env, theta, T=T).costs for theta in grid], axis=1)
+        assert table.shape == (T, grid.shape[0])
+        if name in ("fig2", "tanh"):
+            assert np.array_equal(table, ref)
+        else:
+            assert np.allclose(table, ref, rtol=1e-12, atol=0.0)
+
+    def test_fig2_table_bit_equal_to_confidence_reference_loop(self):
+        env = make_fig2_env(T=200, seed=0)
+        grid = make_theta_grid(env.theta_set, 101)
+        ref = confidence_mpc_reference_table(env, grid, 200)
+        assert np.array_equal(surrogate_table(env, grid, 200), ref)
+
+    @pytest.mark.parametrize("name", TABLE_ENVS)
+    def test_nan_disturbance_raises(self, name):
+        env, grid = table_env(name, 80)
+        if name == "tanh":
+            env.nan_step = 50
+        else:
+            env.w[50] = np.nan
+        with pytest.raises(StateBlowup) as info:
+            surrogate_table(env, grid, 80)
+        assert info.value.t == 51
+
     def test_batch_path_matches_rollouts(self):
         env = make_fig2_env(T=60, seed=7)
         grid = make_theta_grid(env.theta_set, 11)
