@@ -10,6 +10,8 @@ and is constant in theta elsewhere.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..linalg import finite_horizon_lq, quadratic_cost, solve_dare
@@ -106,13 +108,13 @@ class HorizonSelectionEnv(ControlSystem):
     def arm_total_costs(self, T: int | None = None) -> np.ndarray:
         """Offline total cost of holding each arm for the whole horizon.
 
-        Scalar systems use a linear-filter pass per arm (the closed loop is
-        a first-order recursion); other shapes fall back to batch rollouts.
+        Scalar systems run each arm's closed loop as the first-order
+        recursion x_{t+1} = (a - bK) x_t + drive_t over Python floats; other
+        shapes fall back to batch rollouts.
         """
         T = self.T if T is None else T
         if self.n != 1 or self.m != 1:
             return np.sum(self.batch_surrogate_costs(np.stack(self.arm_thetas()), T), axis=0)
-        from scipy.signal import lfilter
 
         a = float(self.A[0, 0])
         b = float(self.B[0, 0])
@@ -121,14 +123,10 @@ class HorizonSelectionEnv(ControlSystem):
         totals = np.empty(len(self.horizons))
         for j in range(len(self.horizons)):
             K = float(self._gains[j][0, 0])
-            drive = self.w[:T, 0] - b * self._ff[:T, j, 0]
-            # x_{t+1} = (a - bK) x_t + drive_t, x_0 = x0
-            x = np.empty(T)
-            x[0] = float(self.x0[0])
-            if T > 1:
-                x[1:] = lfilter([1.0], [1.0, -(a - b * K)], drive[: T - 1])
-                if x[0] != 0.0:
-                    x[1:] += (a - b * K) ** np.arange(1, T) * x[0]
+            c = a - b * K
+            drive = (self.w[:T, 0] - b * self._ff[:T, j, 0]).tolist()
+            states = itertools.accumulate(drive, lambda x, d: d + c * x, initial=float(self.x0[0]))
+            x = np.fromiter(states, dtype=float, count=T)
             u = -K * x - self._ff[:T, j, 0]
             totals[j] = float(np.sum(q * x * x + r * u * u))
         return totals

@@ -2,15 +2,16 @@
 
 Matrices here are a few rows/columns at most, so everything is plain numpy
 with deterministic fixed-point iteration rather than structured eigensolvers.
+Linear solves go through `solve_linear`, which runs its own partial-pivot
+elimination only to check the pivots (numpy's solver does not refuse a tiny
+pivot) and then solves with `np.linalg.solve`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergence, SingularMatrix
 
@@ -19,15 +20,18 @@ PIVOT_TOL = 1e-12
 
 
 def solve_linear(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M @ x = rhs by partial-pivot LU, raising SingularMatrix on tiny pivots."""
+    """Solve M @ x = rhs, raising SingularMatrix when a partial-pivot LU of M
+    meets a pivot of magnitude below PIVOT_TOL."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with warnings.catch_warnings():
-        # singularity is detected via the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
-        raise SingularMatrix(f"pivot below {PIVOT_TOL:g} while solving a {M.shape} system")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    U = M.copy()
+    for j in range(U.shape[0]):
+        p = j + int(np.argmax(np.abs(U[j:, j])))
+        if abs(U[p, j]) < PIVOT_TOL:
+            raise SingularMatrix(f"pivot below {PIVOT_TOL:g} while solving a {M.shape} system")
+        if p != j:
+            U[[j, p]] = U[[p, j]]
+        U[j + 1 :, j:] -= np.outer(U[j + 1 :, j] / U[j, j], U[j, j:])
+    return np.linalg.solve(M, rhs)
 
 
 def per_step(M, T: int) -> np.ndarray:

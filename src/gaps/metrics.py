@@ -13,11 +13,40 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EmptyGrid, NonPositiveRegret
 from .oracles import surrogates
 from .system import Ball, Box, ControlSystem, ParameterSet, WholeSpace, rollout
+
+_SOBOL_BITS = 30
+
+# Joe-Kuo (s, a, m_1..m_s) for Sobol dimensions 2..6: s is the degree of the
+# primitive polynomial, a its inner coefficients as bits, m the initial
+# direction integers.
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)), (4, 1, (1, 1, 3, 3)))
+
+
+def _sobol(n: int, d: int) -> np.ndarray:
+    """First n points of the unscrambled d-dimensional Sobol sequence (d <= 6)
+    in [0, 1)^d, in Gray-code order, starting at the origin. Dimension 1 is
+    van der Corput; V[k, j] is direction integer k of dimension j."""
+    V = np.empty((_SOBOL_BITS, d), dtype=np.int64)
+    V[:, 0] = [1 << (_SOBOL_BITS - 1 - k) for k in range(_SOBOL_BITS)]
+    for j, (s, a, m) in enumerate(_JOE_KUO[: d - 1], start=1):
+        v = [m[k] << (_SOBOL_BITS - 1 - k) for k in range(s)]
+        for k in range(s, _SOBOL_BITS):
+            x = v[k - s] ^ (v[k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    x ^= v[k - i]
+            v.append(x)
+        V[:, j] = v
+    i = np.arange(n, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    X = np.zeros((n, d), dtype=np.int64)
+    for k in range(_SOBOL_BITS):
+        X ^= ((gray >> k) & 1)[:, None] * V[k]
+    return X * 2.0**-_SOBOL_BITS
 
 
 @dataclass
@@ -71,6 +100,10 @@ def make_theta_grid(
 ) -> np.ndarray:
     """Finite grid over the set for infimum evaluation.
 
+    For d <= 2 the grid is a product of points_per_dim points per axis; for
+    d = 3..6 it is the first sobol_points points of the unscrambled Sobol
+    sequence (`_sobol`: Joe-Kuo direction numbers, 30 bits, Gray-code
+    order) scaled to the bounding box. Every point is projected onto the set.
     WholeSpace has no bounded grid; it is covered by a centered box of the
     given half-width (documented lower-bound semantics apply doubly there).
     """
@@ -92,9 +125,7 @@ def make_theta_grid(
         axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
         pts = np.array(list(itertools.product(*axes)))
     else:
-        sampler = qmc.Sobol(d=d, scramble=False)
-        unit = sampler.random(sobol_points)
-        pts = lo + unit * (hi - lo)
+        pts = lo + _sobol(sobol_points, d) * (hi - lo)
     return np.array([pset.project(p) for p in pts])
 
 

@@ -239,6 +239,16 @@ class ControlSystem(abc.ABC):
     # parameter and action. The defaults loop over the lanes with the
     # single-state methods; a system whose step math broadcasts over a
     # leading axis can point these at its single-state methods instead.
+    # A subclass that redefines a single-state method without its lane
+    # entry point gets the default loop back (see __init_subclass__), so
+    # it never inherits lane math written for its parent's step math.
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("policy", "dynamics", "cost", "jacobians"):
+            lanes = f"{name}_lanes"
+            if name in vars(cls) and lanes not in vars(cls):
+                setattr(cls, lanes, vars(ControlSystem)[lanes])
 
     def policy_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """(L, m) actions: row i is policy(t, X[i], thetas[i])."""

@@ -202,6 +202,56 @@ class TestHorizonSelection:
         slow = np.sum(env.batch_surrogate_costs(np.stack(env.arm_thetas()), 1500), axis=0)
         assert np.allclose(fast, slow, rtol=1e-9)
 
+    @staticmethod
+    def arm_totals_from_states(env, T, arm_states):
+        """Totals from each arm's state sequence, with arm_total_costs' sum."""
+        q, r = env.Q[0, 0], env.R[0, 0]
+        totals = []
+        for j in range(len(env.horizons)):
+            x = arm_states(j)
+            u = -env._gains[j][0, 0] * x - env._ff[:T, j, 0]
+            totals.append(float(np.sum(q * x * x + r * u * u)))
+        return np.array(totals)
+
+    @staticmethod
+    def arm_closed_loop(env, j):
+        """(a - bK, drive) of arm j: x_{t+1} = drive_t + (a - bK) x_t."""
+        T = env._ff.shape[0]
+        c = env.A[0, 0] - env.B[0, 0] * env._gains[j][0, 0]
+        drive = env.w[:T, 0] - env.B[0, 0] * env._ff[:, j, 0]
+        return c, drive
+
+    @pytest.mark.parametrize("x0", [None, [0.7]])
+    def test_arm_costs_bit_equal_to_step_loop(self, x0):
+        T = 3000
+        env = make_horizon_selection_env([1, 2, 3], T, seed=4, x0=x0)
+
+        def step_loop(j):
+            c, drive = self.arm_closed_loop(env, j)
+            x = np.empty(T)
+            x[0] = env.x0[0]
+            for t in range(T - 1):
+                x[t + 1] = drive[t] + c * x[t]
+            return x
+
+        expected = self.arm_totals_from_states(env, T, step_loop)
+        assert np.array_equal(env.arm_total_costs(), expected)
+
+    @pytest.mark.parametrize("x0", [None, [0.7]])
+    def test_arm_costs_bit_equal_to_lfilter(self, x0):
+        signal = pytest.importorskip("scipy.signal")
+        T = 3000
+        env = make_horizon_selection_env([1, 2, 3], T, seed=5, x0=x0)
+
+        def filtered(j):
+            c, drive = self.arm_closed_loop(env, j)
+            x0 = env.x0[0]
+            y, _ = signal.lfilter([1.0], [1.0, -c], drive[: T - 1], zi=[c * x0])
+            return np.concatenate([[x0], y])
+
+        expected = self.arm_totals_from_states(env, T, filtered)
+        assert np.array_equal(env.arm_total_costs(), expected)
+
     def test_jacobians_at_arm_centers(self):
         env = make_horizon_selection_env([1, 2, 3], 200, seed=3)
         rng = np.random.default_rng(6)

@@ -138,3 +138,34 @@ class TestFiniteHorizonLq:
 def test_solve_linear_rejects_singular():
     with pytest.raises(SingularMatrix):
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+
+class TestSolveLinear:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_equal_to_numpy_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            M = rng.standard_normal((n, n)) + n * np.eye(n)
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                assert np.array_equal(solve_linear(M, rhs), np.linalg.solve(M, rhs))
+
+    def test_zero_leading_entry_is_pivoted_away(self):
+        M = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rhs = np.array([2.0, 3.0])
+        assert np.array_equal(solve_linear(M, rhs), [3.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[2.0, 4.0], [1.0, 2.0]],  # exactly singular
+            [[1e-13]],  # 1x1 pivot below PIVOT_TOL
+            # The diagonal is far from zero, but after partial pivoting the
+            # second pivot is 1 - 0.5 * (2 + 1e-13), about -5e-14.
+            [[1.0, 1.0], [2.0, 2.0 + 1e-13]],
+        ],
+        ids=["singular", "tiny-1x1", "tiny-after-swap"],
+    )
+    def test_tiny_pivot_raises(self, M):
+        M = np.array(M)
+        with pytest.raises(SingularMatrix):
+            solve_linear(M, np.ones(M.shape[0]))

@@ -147,6 +147,47 @@ def confidence_mpc_reference_table(env, thetas, T):
     return out
 
 
+# Leading points of the unscrambled 6-d Sobol sequence; the first d columns
+# are the d-dimensional sequence.
+SOBOL_HEAD = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+    [0.75, 0.25, 0.25, 0.25, 0.75, 0.75],
+    [0.25, 0.75, 0.75, 0.75, 0.25, 0.25],
+    [0.375, 0.375, 0.625, 0.875, 0.375, 0.125],
+    [0.875, 0.875, 0.125, 0.375, 0.875, 0.625],
+    [0.625, 0.125, 0.875, 0.625, 0.625, 0.875],
+    [0.125, 0.625, 0.375, 0.125, 0.125, 0.375],
+])
+# Later points, times 512: these depend on every Joe-Kuo recursion term.
+SOBOL_LATER_X512 = {
+    100: [212, 132, 396, 372, 452, 380],
+    257: [259, 511, 91, 407, 143, 311],
+    511: [1, 257, 209, 433, 181, 449],
+}
+
+
+class TestThetaGrid:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_sobol_leading_points(self, d):
+        grid = make_theta_grid(Box(np.zeros(d), np.ones(d)))
+        assert grid.shape == (512, d)
+        assert np.array_equal(grid[: len(SOBOL_HEAD)], SOBOL_HEAD[:, :d])
+        for i, row in SOBOL_LATER_X512.items():
+            assert np.array_equal(grid[i] * 512, row[:d])
+        assert len(np.unique(grid, axis=0)) == 512
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_sobol_bit_equal_to_scipy(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        lo = np.linspace(-1.0, -0.5, d)
+        hi = np.linspace(0.5, 3.0, d)
+        box = Box(lo, hi)
+        unit = qmc.Sobol(d=d, scramble=False).random(512)
+        expected = np.array([box.project(p) for p in lo + unit * (hi - lo)])
+        assert np.array_equal(make_theta_grid(box), expected)
+
+
 class TestSurrogateTable:
     @pytest.mark.parametrize("name", TABLE_ENVS)
     def test_matches_per_grid_point_rollouts(self, name):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from gaps.envs import make_fig2_env, make_pendulum_env
+from gaps.envs.linear_feedback import LinearFeedbackEnv
 from gaps.errors import DimensionMismatch, StateBlowup
+from gaps.metrics import surrogate_table
 from gaps.system import (
     Ball,
     Box,
+    ControlSystem,
     WholeSpace,
     check_jacobians,
     rollout,
@@ -122,6 +125,37 @@ class TestRollout:
         )
         with pytest.raises(StateBlowup):
             rollout(env, np.array([0.0]), T=200, blowup_cap=1e6)
+
+
+class TestLaneEntryPoints:
+    class ConstEnv(LinearFeedbackEnv):
+        """Redefines policy and cost of a broadcasting env with scalar math."""
+
+        def cost(self, t, x, u):
+            return float({0: 0.1, 1: 1.0}[int(round(u[0]))])
+
+        def policy(self, t, x, theta):
+            return np.array([theta[0]])
+
+    def test_subclass_override_resets_lane_alias(self):
+        env_cls = self.ConstEnv
+        for name in ("policy", "cost"):
+            assert getattr(env_cls, f"{name}_lanes") is getattr(ControlSystem, f"{name}_lanes")
+        for name in ("dynamics", "jacobians"):
+            assert env_cls.__dict__.get(f"{name}_lanes") is None
+            assert getattr(env_cls, f"{name}_lanes") is getattr(LinearFeedbackEnv, name)
+
+    def test_surrogate_table_uses_subclass_step_math(self):
+        T = 20
+        env = self.ConstEnv(
+            [[0.0]], [[0.0]], [[1.0]], [[1.0]], np.zeros((T, 1)),
+            theta_set=Box([0.0], [1.0]),
+        )
+        arms = np.array([[0.0], [1.0]])
+        totals = surrogate_table(env, arms, T).sum(axis=0)
+        expected = [rollout(env, theta, T).total_cost for theta in arms]
+        assert np.allclose(totals, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(totals, [2.0, 20.0], rtol=1e-12, atol=0.0)
 
 
 class TestCheckJacobians:
