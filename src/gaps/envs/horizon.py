@@ -14,11 +14,25 @@ import itertools
 
 import numpy as np
 
-from ..linalg import finite_horizon_lq, quadratic_cost, solve_dare
+from ..linalg import finite_horizon_lq, solve_dare
 from ..system import DEFAULT_BLOWUP_CAP, Box, ControlSystem, StepJacobians, check_state
 
 
 class HorizonSelectionEnv(ControlSystem):
+    # The scalar table and arm_total_costs below run this class's step
+    # math inline. A subclass that redefines policy, dynamics or cost in its
+    # own body hands both over to the shared loop, which runs its step math:
+    # the rule ControlSystem.__init_subclass__ applies to lane methods.
+    _own_step_math = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if any(name in vars(cls) for name in ("policy", "dynamics", "cost")):
+            cls._own_step_math = False
+
+    def _scalar_step_math(self) -> bool:
+        return self._own_step_math and self.n == 1 and self.m == 1
+
     def __init__(
         self,
         A,
@@ -89,31 +103,53 @@ class HorizonSelectionEnv(ControlSystem):
         )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
-        # Overrides the shared loop to look up each lane's arm once, not
-        # once per step through the lane entry points.
+        """(T, L) surrogate costs, as ControlSystem.batch_surrogate_costs.
+
+        A scalar system (n = m = 1) with this class's own step math runs each
+        lane's closed loop over Python floats, with the lane's arm looked up
+        once, in the order of the per-state methods:
+        u = -(K x) - ff_t, x' = (a x + b u) + w_t, cost (q x) x + (r u) u.
+        The first state past DEFAULT_BLOWUP_CAP, or not finite, raises the
+        StateBlowup the shared loop would raise at that step. Every other
+        case runs the shared loop.
+        """
+        if not self._scalar_step_math():
+            return super().batch_surrogate_costs(thetas, T)
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        arms = np.array([self._arm(th) for th in thetas])
-        G = arms.shape[0]
-        gains = np.stack([self._gains[j] for j in arms])  # (G, m, n)
-        ff = self._ff[:T, arms]  # (T, G, m)
-        X = np.broadcast_to(self.x0, (G, self.n)).copy()
-        out = np.empty((T, G))
-        for t in range(T):
-            check_state(t, X, DEFAULT_BLOWUP_CAP)
-            U = -np.einsum("gij,gj->gi", gains, X) - ff[t]
-            out[t] = quadratic_cost(X, self.Q, U, self.R)
-            X = X @ self.A.T + U @ self.B.T + self.w[t]
-        return out
+        arms = [self._arm(th) for th in thetas]
+        gains = [float(self._gains[j][0, 0]) for j in arms]
+        a = float(self.A[0, 0])
+        b = float(self.B[0, 0])
+        x0 = float(self.x0[0])
+        # Memoryviews yield Python floats without building lists.
+        w = memoryview(self.w[:T, 0])
+        X = np.empty((T, len(arms)))
+        for g, (j, K) in enumerate(zip(arms, gains)):
+            steps = zip(memoryview(self._ff[:T, j, 0]), w)
+            states = itertools.accumulate(
+                steps, lambda x, fw: (x * a + (-(K * x) - fw[0]) * b) + fw[1], initial=x0
+            )
+            X[:, g] = np.fromiter(states, dtype=float, count=T)
+
+        within = (np.abs(X) <= DEFAULT_BLOWUP_CAP).all(axis=1)
+        if not within.all():
+            t = int(np.argmin(within))
+            check_state(t, X[t, :, None], DEFAULT_BLOWUP_CAP)
+
+        U = -(np.array(gains) * X) - self._ff[:T, arms, 0]
+        return (X * float(self.Q[0, 0])) * X + (U * float(self.R[0, 0])) * U
 
     def arm_total_costs(self, T: int | None = None) -> np.ndarray:
         """Offline total cost of holding each arm for the whole horizon.
 
-        Scalar systems run each arm's closed loop as the first-order
-        recursion x_{t+1} = (a - bK) x_t + drive_t over Python floats; other
-        shapes fall back to batch rollouts.
+        A scalar system with this class's own step math runs each arm's
+        closed loop as the first-order recursion x_{t+1} = drive_t + (a - bK)
+        x_t over Python floats, which rounds differently from the step
+        order of batch_surrogate_costs; every other case sums the columns
+        of batch_surrogate_costs.
         """
         T = self.T if T is None else T
-        if self.n != 1 or self.m != 1:
+        if not self._scalar_step_math():
             return np.sum(self.batch_surrogate_costs(np.stack(self.arm_thetas()), T), axis=0)
 
         a = float(self.A[0, 0])

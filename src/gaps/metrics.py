@@ -10,6 +10,7 @@ refusal beyond that.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,26 @@ def surrogate_table(system: ControlSystem, grid: np.ndarray, T: int) -> np.ndarr
     return system.batch_surrogate_costs(grid, T)
 
 
+def _max_subarray(values: Sequence[float]) -> tuple[float, int, int]:
+    """(sum, first, last) of the maximum-sum interval of a non-empty sequence.
+
+    A run restarts at t when its sum so far is negative (from 0.0 + v_t),
+    and only a strictly larger sum replaces the best interval, so ties keep
+    the earliest interval.
+    """
+    run = best = values[0]
+    start = lo = hi = 0
+    for t, v in enumerate(values[1:], 1):
+        if run < 0.0:
+            start = t
+            run = 0.0 + v
+        else:
+            run = run + v
+        if run > best:
+            best, lo, hi = run, start, t
+    return best, lo, hi
+
+
 def static_and_adaptive_regret(
     costs: np.ndarray, table: np.ndarray, grid: np.ndarray
 ) -> RegretReport:
@@ -166,28 +187,16 @@ def static_and_adaptive_regret(
     static = float(np.max(totals))
     best_g = int(np.argmin(np.sum(table, axis=0)))
 
-    # Vectorized Kadane with interval tracking, one lane per grid point.
-    best_end = diffs[0].copy()
-    start = np.zeros(G, dtype=int)
-    best_total = diffs[0].copy()
-    best_lo = np.zeros(G, dtype=int)
-    best_hi = np.zeros(G, dtype=int)
-    for t in range(1, T):
-        restart = best_end < 0.0
-        start[restart] = t
-        best_end = np.where(restart, 0.0, best_end) + diffs[t]
-        improved = best_end > best_total
-        best_total[improved] = best_end[improved]
-        best_lo[improved] = start[improved]
-        best_hi[improved] = t
-    g_star = int(np.argmax(best_total))
-    adaptive = float(best_total[g_star])
-    interval = (int(best_lo[g_star]), int(best_hi[g_star]))
+    # Kadane per grid point over Python floats; a memoryview yields them
+    # without building a list of the column.
+    lanes = [_max_subarray(memoryview(diffs[:, g])) for g in range(G)]
+    g_star = int(np.argmax([lane[0] for lane in lanes]))
+    adaptive, lo, hi = lanes[g_star]
 
     return RegretReport(
         static_regret=static,
         adaptive_regret=adaptive,
-        adaptive_interval=interval,
+        adaptive_interval=(lo, hi),
         best_fixed_theta=grid[best_g].copy(),
         grid=grid,
     )

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from gaps.envs import (
     make_horizon_selection_env,
     make_pendulum_env,
 )
+from gaps.envs.horizon import HorizonSelectionEnv
 from gaps.envs.linear_feedback import LinearFeedbackEnv
-from gaps.linalg import solve_dare
-from gaps.system import Box, check_jacobians, rollout
+from gaps.linalg import quadratic_cost, solve_dare
+from gaps.metrics import surrogate_table
+from gaps.system import DEFAULT_BLOWUP_CAP, Box, check_jacobians, check_state, rollout
 from gaps.validation import _qp_first_control
 
 
@@ -251,6 +255,86 @@ class TestHorizonSelection:
 
         expected = self.arm_totals_from_states(env, T, filtered)
         assert np.array_equal(env.arm_total_costs(), expected)
+
+    @staticmethod
+    def einsum_reference_table(env, thetas, T):
+        """The lane-vectorised table loop the horizon env used to run."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        arms = np.array([env._arm(th) for th in thetas])
+        gains = np.stack([env._gains[j] for j in arms])
+        ff = env._ff[:T, arms]
+        X = np.broadcast_to(env.x0, (arms.shape[0], env.n)).copy()
+        out = np.empty((T, arms.shape[0]))
+        for t in range(T):
+            check_state(t, X, DEFAULT_BLOWUP_CAP)
+            U = -np.einsum("gij,gj->gi", gains, X) - ff[t]
+            out[t] = quadratic_cost(X, env.Q, U, env.R)
+            X = X @ env.A.T + U @ env.B.T + env.w[t]
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("x0", [None, [0.7]])
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_table_bit_equal_to_einsum_loop(self, seed, x0, unit_weights):
+        env = make_horizon_selection_env([1, 2, 3], 600, seed=seed, x0=x0)
+        if not unit_weights:
+            A, B, Q, R = [[1.7]], [[0.9]], [[1.3]], [[0.7]]
+            Qf = solve_dare(np.array(A), np.array(B), np.array(Q), np.array(R)).P
+            env = HorizonSelectionEnv(A, B, Q, R, Qf, env.horizons, env.w, env.w_pred, x0=x0)
+        arms = np.stack(env.arm_thetas())
+        # Thetas that round onto arms, and one arm held by several lanes.
+        rounded = np.array([[0.4], [1.6], [1.6], [2.0], [-3.0], [0.0]])
+        for thetas, T in ((arms, 600), (rounded, 450)):
+            table = env.batch_surrogate_costs(thetas, T)
+            assert table.flags.c_contiguous
+            assert np.array_equal(table, self.einsum_reference_table(env, thetas, T))
+
+    @pytest.mark.parametrize("w50", [np.nan, 1e9])
+    def test_table_blowup_matches_einsum_loop(self, w50):
+        env = make_horizon_selection_env([1, 2, 3], 120, seed=0)
+        env.w[50, 0] = w50
+        raised = []
+        for table in (env.batch_surrogate_costs, partial(self.einsum_reference_table, env)):
+            with pytest.raises(StateBlowup) as info:
+                table(np.stack(env.arm_thetas()), 120)
+            raised.append(info.value)
+        new, ref = raised
+        assert (new.t, new.cap) == (ref.t, ref.cap) == (51, DEFAULT_BLOWUP_CAP)
+        assert np.float64(new.norm).tobytes() == np.float64(ref.norm).tobytes()
+
+    def test_two_state_env_runs_shared_loop(self):
+        T, horizons = 80, [1, 2]
+        rng = np.random.default_rng(8)
+        A = np.array([[1.1, 0.3], [0.0, 0.9]])
+        B = np.array([[0.0], [1.0]])
+        Q, R = np.eye(2), np.eye(1)
+        w = 0.5 * rng.standard_normal((T + 2, 2))
+        preds = np.lib.stride_tricks.sliding_window_view(w, 2, axis=0)[:T].transpose(0, 2, 1)
+        env = HorizonSelectionEnv(A, B, Q, R, solve_dare(A, B, Q, R).P, horizons, w,
+                                  preds + 0.1 * rng.standard_normal((T, 2, 2)), x0=[0.5, -0.2])
+        arms = np.stack(env.arm_thetas())
+        table = env.batch_surrogate_costs(arms, T)
+        ref = np.stack([rollout(env, theta, T=T).costs for theta in arms], axis=1)
+        assert np.allclose(table, ref, rtol=1e-12, atol=0.0)
+        totals = [rollout(env, theta, T=T).total_cost for theta in arms]
+        assert np.allclose(env.arm_total_costs(), totals, rtol=1e-12, atol=0.0)
+
+    class DoubledCost(HorizonSelectionEnv):
+        """Redefines the stage cost, so the scalar fast paths must not run."""
+
+        def cost(self, t, x, u):
+            return 2.0 * super().cost(t, x, u)
+
+    def test_subclass_step_math_reaches_table_and_arm_totals(self):
+        base = make_horizon_selection_env([1, 2], 50, seed=0)
+        env = self.DoubledCost(base.A, base.B, base.Q, base.R, base.Qf, base.horizons,
+                               base.w, base.w_pred)
+        arms = np.stack(env.arm_thetas())
+        totals = [rollout(env, theta, T=50).total_cost for theta in arms]
+        assert np.allclose(totals, 2.0 * base.arm_total_costs(), rtol=1e-12, atol=0.0)
+        table = surrogate_table(env, arms, 50)
+        assert np.allclose(table.sum(axis=0), totals, rtol=1e-12, atol=0.0)
+        assert np.allclose(env.arm_total_costs(50), totals, rtol=1e-12, atol=0.0)
 
     def test_jacobians_at_arm_centers(self):
         env = make_horizon_selection_env([1, 2, 3], 200, seed=3)

@@ -97,6 +97,66 @@ class TestStaticAdaptive:
             static_and_adaptive_regret(np.ones(3), np.ones((3, 0)), np.ones((0, 1)))
 
 
+def vectorized_kadane_reference(costs, table, grid):
+    """The lane-vectorised Kadane pass static_and_adaptive_regret used to run:
+    (static regret, adaptive regret, interval, best fixed theta)."""
+    T, G = table.shape
+    diffs = costs[:, None] - table
+    static = float(np.max(np.sum(diffs, axis=0)))
+    best_g = int(np.argmin(np.sum(table, axis=0)))
+    best_end = diffs[0].copy()
+    start = np.zeros(G, dtype=int)
+    best_total = diffs[0].copy()
+    best_lo = np.zeros(G, dtype=int)
+    best_hi = np.zeros(G, dtype=int)
+    for t in range(1, T):
+        restart = best_end < 0.0
+        start[restart] = t
+        best_end = np.where(restart, 0.0, best_end) + diffs[t]
+        improved = best_end > best_total
+        best_total[improved] = best_end[improved]
+        best_lo[improved] = start[improved]
+        best_hi[improved] = t
+    g_star = int(np.argmax(best_total))
+    interval = (int(best_lo[g_star]), int(best_hi[g_star]))
+    return static, float(best_total[g_star]), interval, grid[best_g]
+
+
+def kadane_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(40):  # small integer values: many tied sums and intervals
+        T, G = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        yield rng.integers(-2, 3, T).astype(float), rng.integers(-2, 3, (T, G)).astype(float)
+    for T, G in ((1, 1), (1, 4), (60, 1)):
+        yield rng.standard_normal(T), rng.standard_normal((T, G))
+    # Every difference negative in every column.
+    yield -np.abs(rng.standard_normal(30)) - 0.1, np.abs(rng.standard_normal((30, 4)))
+    # Signed zeros: restarts from 0.0 + (-0.0) and runs that stay at -0.0.
+    signed = rng.choice([0.0, -0.0, 1.0, -1.0], size=(50, 3))
+    yield np.full(50, -0.0), signed
+    yield np.zeros(50), signed
+    nonpositive = rng.choice([0.0, 1.0], size=(50, 3))  # differences -0.0 and -1.0
+    nonpositive[0] = 1.0
+    yield np.full(50, -0.0), nonpositive
+    env = make_fig2_env(T=200, seed=0)
+    grid = make_theta_grid(env.theta_set, 101)
+    traj = run_gaps(env, GapsConfig(eta=0.03, B=8, theta0=[1.0], set=env.theta_set), 200)
+    yield traj.costs, surrogate_table(env, grid, 200)
+
+
+class TestKadaneReference:
+    def test_bit_equal_to_vectorized_kadane(self):
+        as_bits = lambda v: np.float64(v).tobytes()
+        for costs, table in kadane_cases():
+            grid = np.arange(table.shape[1], dtype=float)[:, None]
+            static, adaptive, interval, best = vectorized_kadane_reference(costs, table, grid)
+            rep = static_and_adaptive_regret(costs, table, grid)
+            assert as_bits(rep.static_regret) == as_bits(static)
+            assert as_bits(rep.adaptive_regret) == as_bits(adaptive)
+            assert rep.adaptive_interval == interval
+            assert np.array_equal(rep.best_fixed_theta, best)
+
+
 class NanOffsetTanh(TanhSystem):
     """TanhSystem whose drift offset is NaN at one step."""
 
@@ -196,7 +256,7 @@ class TestSurrogateTable:
         table = surrogate_table(env, grid, T)
         ref = np.stack([rollout(env, theta, T=T).costs for theta in grid], axis=1)
         assert table.shape == (T, grid.shape[0])
-        if name in ("fig2", "tanh"):
+        if name in ("fig2", "horizon", "tanh"):
             assert np.array_equal(table, ref)
         else:
             assert np.allclose(table, ref, rtol=1e-12, atol=0.0)
