@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbabilitySampled
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, closed_loop
+from .system import ControlSystem, Trajectory, closed_loop
 
 # Above this exponent the multiplicative update switches to log-space.
 _EXP_GUARD = 50.0
@@ -169,7 +169,6 @@ def run_baps(
     arms: list[np.ndarray],
     config: BapsConfig,
     T: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
 ) -> BapsResult:
     """Run batched bandit selection for T steps.
 
@@ -192,7 +191,7 @@ def run_baps(
         )
 
     selector = _BapsSelector(arms, config, num_batches)
-    traj = closed_loop(system, selector, num_batches * config.b, blowup_cap)
+    traj = closed_loop(system, selector, num_batches * config.b)
     selector.dist_history[num_batches] = selector.state.s
     return BapsResult(
         trajectory=traj,

@@ -122,15 +122,19 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
         key, _, raw = item.partition("=")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        _set_path(config, key.split("."), value)
+        _set_path(config, key.split("."), _parse_value(raw))
     if "GAPS_SEED" in os.environ:
         config["seed"] = int(os.environ["GAPS_SEED"])
     validate_config(config)
     return config
+
+
+def _parse_value(raw: str):
+    """A command-line value: its JSON reading when it has one, else the string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
 
 
 def _merge(base: dict, extra: dict) -> None:
@@ -170,16 +174,30 @@ def validate_config(config: dict) -> None:
     )
     if not isinstance(config["T"], int) or config["T"] < 1:
         raise ConfigError("T must be a positive integer")
+    grid_points = config.get("metrics", {}).get("grid_points", 101)
+    if not isinstance(grid_points, int) or grid_points < 1:
+        raise ConfigError("metrics.grid_points must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
 # Experiment assembly
 
+def _from_config(section: str, factory, *args, **kwargs):
+    """Call factory on config values; a value it rejects is a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, TypeError, DimensionMismatch) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def build_env(config: dict):
     name = config["env"]["name"]
     params = dict(config["env"].get("params", {}))
-    T = config["T"]
     seed = derive_seed(config["seed"], f"env:{name}")
+    return _from_config("env.params", _make_env, name, params, config["T"], seed)
+
+
+def _make_env(name: str, params: dict, T: int, seed: int):
     if name == "fig2":
         return env_mod.make_fig2_env(T=T, seed=seed, **params)
     if name == "constant_noise":
@@ -221,14 +239,6 @@ def _default_theta0(env, env_name: str):
     return np.zeros(env.d)
 
 
-def _algorithm_config(cls, **kwargs):
-    """Build an algorithm's config; a value it rejects is a config error."""
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError, DimensionMismatch) as exc:
-        raise ConfigError(f"algorithm.params: {exc}") from None
-
-
 def run_algorithm(config: dict, env):
     name = config["algorithm"]["name"]
     params = dict(config["algorithm"].get("params", {}))
@@ -236,7 +246,8 @@ def run_algorithm(config: dict, env):
     env_name = config["env"]["name"]
     if name == "gaps":
         theta0 = params.get("theta0", _default_theta0(env, env_name))
-        cfg = _algorithm_config(
+        cfg = _from_config(
+            "algorithm.params",
             GapsConfig,
             eta=params.get("eta", 0.05),
             B=params.get("B", 32),
@@ -246,16 +257,21 @@ def run_algorithm(config: dict, env):
         return run_gaps(env, cfg, T), {}
     if name == "ogd":
         theta0 = params.get("theta0", _default_theta0(env, env_name))
-        cfg = _algorithm_config(
-            GapsConfig, eta=params.get("eta", 0.05), B=1, theta0=theta0, set=env.theta_set
+        cfg = _from_config(
+            "algorithm.params",
+            GapsConfig,
+            eta=params.get("eta", 0.05),
+            B=1,
+            theta0=theta0,
+            set=env.theta_set,
         )
         return run_ideal_ogd(env, cfg, T), {}
     if name == "baps":
-        arm_fn = getattr(env, "arm_thetas", None)
-        if arm_fn is None:
+        arms = env.arm_thetas()
+        if arms is None:
             raise ConfigError("baps needs an environment with discrete arms")
-        arms = arm_fn()
-        cfg = _algorithm_config(
+        cfg = _from_config(
+            "algorithm.params",
             BapsConfig,
             k=len(arms),
             b=params.get("b", 50),
@@ -271,7 +287,8 @@ def run_algorithm(config: dict, env):
     if name == "ftl":
         if env_name not in ("fig2", "constant_noise"):
             raise ConfigError("ftl runs on the scalar-confidence envs only")
-        return env_mod.ftl_confidence_baseline(env, T, params.get("lambda0", 1.0)), {}
+        lambda0 = params.get("lambda0", 1.0)
+        return _from_config("ftl", env_mod.ftl_confidence_baseline, env, T, lambda0), {}
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -316,9 +333,9 @@ def compute_report(config: dict, env, traj, extras: dict) -> dict:
     report.update(extras)
     metrics_cfg = config.get("metrics", {})
     if metrics_cfg.get("regret", True):
-        arm_fn = getattr(env, "arm_thetas", None)
-        if arm_fn is not None:
-            grid = np.stack(arm_fn())
+        arms = env.arm_thetas()
+        if arms is not None:
+            grid = np.stack(arms)
         else:
             grid = make_theta_grid(env.theta_set, metrics_cfg.get("grid_points", 101))
         table = surrogate_table(env, grid, len(traj))
@@ -389,7 +406,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.override)
-    values = [json.loads(v) if _is_json(v) else v for v in args.values.split(",")]
+    values = [_parse_value(v) for v in args.values.split(",")]
     tasks = []
     for value in values:
         sub_config = copy.deepcopy(config)
@@ -425,7 +442,9 @@ def cmd_contraction(args) -> int:
     config = load_config(args.config, args.override)
     env = build_env(config)
     params = config.get("contraction", {})
-    est = estimate_contraction(
+    est = _from_config(
+        "contraction",
+        estimate_contraction,
         env,
         env.theta_set,
         eps=params.get("eps", 0.0),
@@ -449,14 +468,6 @@ def cmd_regret(args) -> int:
     config.setdefault("metrics", {})["regret"] = True
     run_experiment(config, args.out)
     return 0
-
-
-def _is_json(s: str) -> bool:
-    try:
-        json.loads(s)
-        return True
-    except json.JSONDecodeError:
-        return False
 
 
 def build_parser() -> argparse.ArgumentParser:

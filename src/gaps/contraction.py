@@ -110,11 +110,10 @@ def estimate_stability_radius(
     runs: int,
     horizon: int,
     rng,
-    divergence_cap: float = DIVERGENCE_FACTOR,
 ) -> float:
     """Max state norm reached from the zero state under slow sequences.
 
-    Raises Divergence when a norm exceeds divergence_cap or is not finite.
+    Raises Divergence when a norm exceeds DIVERGENCE_FACTOR or is not finite.
     """
     rng = _as_rng(rng)
     t0_max = max(0, system.T - horizon)
@@ -127,7 +126,7 @@ def estimate_stability_radius(
             t = t0 + i
             x = system.dynamics(t, x, system.policy(t, x, theta_seq[i]))
             norm = float(np.linalg.norm(x))
-            if not norm <= divergence_cap:
+            if not norm <= DIVERGENCE_FACTOR:
                 raise Divergence(
                     f"zero-state rollout reached norm {norm:.3e} at step {t}"
                 )
@@ -143,32 +142,30 @@ def estimate_contraction(
     pairs: int = 100,
     horizon: int = 30,
     rng=0,
-    stability_runs: int = 50,
-    ratio_window: int | None = None,
 ) -> ContractionEstimate:
     """Fit the upper envelope C_hat * rho_hat^t over sampled decay curves.
 
     Each pair draws two states uniformly in the probe ball, one slow
     parameter sequence, and a random start time, and rolls both states under
     identical parameters and disturbances. rho_hat is the 99th percentile of
-    the per-window geometric-mean contraction ratios (window default
-    horizon // 4; single-step ratios would report spurious growth for
-    oscillatory closed loops whose error norm is not monotone). log C_hat is
-    then the max over samples of log(|dx_t|/|dx_0|) - t log rho_hat, so the
-    envelope dominates 100% of the sample regardless of the window. Raises
-    Divergence when any pair separates by more than 1e6x or a state is not
-    finite.
+    the per-window geometric-mean contraction ratios (window
+    max(1, horizon // 4); single-step ratios would report spurious growth
+    for oscillatory closed loops whose error norm is not monotone). log C_hat
+    is then the max over samples of log(|dx_t|/|dx_0|) - t log rho_hat, so
+    the envelope dominates 100% of the sample regardless of the window.
+    Refuses a horizon below 2, which leaves no window. Raises Divergence
+    when any pair separates by more than 1e6x or a state is not finite.
 
     With R_C_probe unset, twice the observed closed-loop state sup is used
     and flagged in the returned estimate.
     """
+    if horizon < 2:
+        raise ValueError("horizon must be at least 2")
+    window = max(1, horizon // 4)
     rng = _as_rng(rng)
     auto_probe = R_C_probe is None
     if auto_probe:
         R_C_probe = 2.0 * max(_observed_state_sup(system, pset, eps, horizon, rng), 1e-6)
-    window = ratio_window if ratio_window is not None else max(1, horizon // 4)
-    if window >= horizon:
-        raise ValueError("ratio_window must be smaller than horizon")
 
     t0_max = max(0, system.T - horizon)
     log_ratios = []  # windowed log contraction factors, per step
@@ -206,7 +203,7 @@ def estimate_contraction(
     C_hat = max(1.0, math.exp(log_C))
 
     R_S_hat = estimate_stability_radius(
-        system, pset, eps, runs=min(pairs, stability_runs), horizon=horizon, rng=rng
+        system, pset, eps, runs=min(pairs, 50), horizon=horizon, rng=rng
     )
     return ContractionEstimate(
         C_hat=C_hat,

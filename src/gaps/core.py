@@ -21,7 +21,6 @@ from .system import (
     ParameterSet,
     StepJacobians,
     Trajectory,
-    DEFAULT_BLOWUP_CAP,
     closed_loop,
 )
 
@@ -156,16 +155,11 @@ class _GapsSelector:
         return grad
 
 
-def run_gaps(
-    system: ControlSystem,
-    config: GapsConfig,
-    T: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
-) -> Trajectory:
+def run_gaps(system: ControlSystem, config: GapsConfig, T: int) -> Trajectory:
     """Run the closed loop for T steps, adapting theta online.
 
     Each step of `closed_loop` acts with the current theta_t and feeds the
     visited-point Jacobians to the ring update. The returned trajectory
     records theta_t and G_t per step.
     """
-    return closed_loop(system, _GapsSelector(system, config), T, blowup_cap)
+    return closed_loop(system, _GapsSelector(system, config), T)

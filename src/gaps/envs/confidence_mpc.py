@@ -38,6 +38,8 @@ class ConfidenceMpcEnv(ControlSystem):
         self.w = np.atleast_2d(np.asarray(disturbances, dtype=float))
         self.w_pred = np.asarray(predictions, dtype=float)
         self.k = int(k)
+        if self.k < 1:
+            raise ValueError(f"planning horizon k must be at least 1, got {self.k}")
         self.T = self.w_pred.shape[0]
         horizon = self.T + self.k
         if self.w.shape[0] < horizon:

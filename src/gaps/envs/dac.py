@@ -98,6 +98,8 @@ def make_dac_env(
     The A_t sequence oscillates around a marginally unstable mean to keep
     the problem genuinely time-varying.
     """
+    if n < 1:
+        raise ValueError(f"state dimension n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     # Controllable companion form, slightly unstable, slowly oscillating.
     base = np.eye(n, k=1)

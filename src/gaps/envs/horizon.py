@@ -134,7 +134,7 @@ class HorizonSelectionEnv(ControlSystem):
         within = (np.abs(X) <= DEFAULT_BLOWUP_CAP).all(axis=1)
         if not within.all():
             t = int(np.argmin(within))
-            check_state(t, X[t, :, None], DEFAULT_BLOWUP_CAP)
+            check_state(t, X[t, :, None])
 
         U = -(np.array(gains) * X) - self._ff[:T, arms, 0]
         return (X * float(self.Q[0, 0])) * X + (U * float(self.R[0, 0])) * U
@@ -207,7 +207,10 @@ def run_baps_scalar_batch(envs, config, seeds):
     same per-batch arithmetic, so arm choices and distributions match a
     run_baps call bit-for-bit (reported totals can differ by float summation
     order only). All environments advance in lockstep with numpy, which
-    makes hundreds of seeds affordable. Only n = m = 1 is supported.
+    makes hundreds of seeds affordable. Each step checks the lockstep state
+    as closed_loop does, so a state past DEFAULT_BLOWUP_CAP, or not finite,
+    raises StateBlowup at the step run_baps would. Only scalar environments
+    (n = m = 1) that run this class's own step math are supported.
 
     Returns (total_costs, final_distributions) with shapes (S,) and (S, k).
     """
@@ -217,8 +220,11 @@ def run_baps_scalar_batch(envs, config, seeds):
     if len(seeds) != S:
         raise ValueError("need one sampling seed per environment")
     for env in envs:
-        if env.n != 1 or env.m != 1:
-            raise ValueError("batch runner supports scalar environments only")
+        if not env._scalar_step_math():
+            raise ValueError(
+                "batch runner supports scalar environments with the "
+                "HorizonSelectionEnv step math only"
+            )
 
     T = min(env.T for env in envs)
     num_batches = T // config.b
@@ -242,6 +248,7 @@ def run_baps_scalar_batch(envs, config, seeds):
         K = gains[idx, arms]
         batch_cost = np.zeros(S)
         for _ in range(config.b):
+            check_state(t, x[:, None])
             u = -K * x - ff[idx, t, arms]
             c = q * x * x + r * u * u
             batch_cost += c

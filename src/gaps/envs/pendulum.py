@@ -51,6 +51,8 @@ class PendulumEnv(ControlSystem):
         self.w = np.asarray(disturbances, dtype=float).reshape(-1)
         if self.w.shape[0] < T:
             raise ValueError("disturbance sequence shorter than T")
+        if len(self.p.masses) == 0:
+            raise ValueError("the mass schedule needs at least one mass")
         self.T = int(T)
         self.n = 2
         self.m = 1

@@ -93,22 +93,19 @@ class DynamicRegretReport:
         }
 
 
-def make_theta_grid(
-    pset: ParameterSet,
-    points_per_dim: int = 101,
-    sobol_points: int = 512,
-    box_fallback_halfwidth: float = 10.0,
-) -> np.ndarray:
+def make_theta_grid(pset: ParameterSet, points_per_dim: int = 101) -> np.ndarray:
     """Finite grid over the set for infimum evaluation.
 
     For d <= 2 the grid is a product of points_per_dim points per axis; for
-    d = 3..6 it is the first sobol_points points of the unscrambled Sobol
+    d = 3..6 it is the first 512 points of the unscrambled Sobol
     sequence (`_sobol`: Joe-Kuo direction numbers, 30 bits, Gray-code
     order) scaled to the bounding box. Every point is projected onto the set.
-    WholeSpace has no bounded grid; it is covered by a centered box of the
-    given half-width (documented lower-bound semantics apply doubly there).
+    WholeSpace has no bounded grid; it is covered by the centered box
+    [-10, 10]^d (documented lower-bound semantics apply doubly there).
     """
     d = pset.dim
+    if points_per_dim < 1:
+        raise ValueError(f"points_per_dim must be at least 1, got {points_per_dim}")
     if d > 6:
         raise ValueError("grids beyond d = 6 are refused; supply an explicit grid")
     if isinstance(pset, Box):
@@ -117,8 +114,8 @@ def make_theta_grid(
         lo = pset.center - pset.radius
         hi = pset.center + pset.radius
     elif isinstance(pset, WholeSpace):
-        lo = -box_fallback_halfwidth * np.ones(d)
-        hi = box_fallback_halfwidth * np.ones(d)
+        lo = -10.0 * np.ones(d)
+        hi = 10.0 * np.ones(d)
     else:
         raise TypeError(f"unsupported parameter set type {type(pset).__name__}")
 
@@ -126,7 +123,7 @@ def make_theta_grid(
         axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(d)]
         pts = np.array(list(itertools.product(*axes)))
     else:
-        pts = lo + _sobol(sobol_points, d) * (hi - lo)
+        pts = lo + _sobol(512, d) * (hi - lo)
     return np.array([pset.project(p) for p in pts])
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GapsConfig
-from .system import ControlSystem, Trajectory, DEFAULT_BLOWUP_CAP, check_state, closed_loop
+from .system import ControlSystem, Trajectory, check_state, closed_loop
 
 
 class Surrogates(NamedTuple):
@@ -35,14 +35,13 @@ def surrogates(
     thetas: np.ndarray,
     steps=None,
     with_grad: bool = False,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
 ) -> Surrogates:
     """Surrogate costs F_{steps[i]}(thetas[i]), and their gradients.
 
     thetas is (L, d); steps must be nondecreasing and defaults to 0..L-1,
     which reads F_t(theta_t) along a parameter path. Each step checks the
     state of every lane still active and raises StateBlowup when a norm
-    exceeds blowup_cap or is not finite.
+    exceeds DEFAULT_BLOWUP_CAP or is not finite.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     L = thetas.shape[0]
@@ -58,7 +57,7 @@ def surrogates(
     grads = np.empty((L, system.d)) if with_grad else None
     lo = 0
     for t in range(steps[-1] + 1 if L else 0):
-        check_state(t, X, blowup_cap)
+        check_state(t, X)
         th = thetas[lo:]
         U = system.policy_lanes(t, X, th)
         jac = system.jacobians_lanes(t, X, th) if with_grad else None
@@ -78,15 +77,10 @@ def surrogates(
     return Surrogates(costs=costs, grads=grads)
 
 
-def surrogate_cost(
-    system: ControlSystem,
-    theta: np.ndarray,
-    t: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
-) -> float:
+def surrogate_cost(system: ControlSystem, theta: np.ndarray, t: int) -> float:
     """Stage cost at time t of the constant-theta trajectory from x0."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return float(surrogates(system, theta[None], [t], blowup_cap=blowup_cap).costs[0])
+    return float(surrogates(system, theta[None], [t]).costs[0])
 
 
 def ideal_gradient(
@@ -94,8 +88,6 @@ def ideal_gradient(
     theta: np.ndarray,
     t: int,
     mode: str = "chain",
-    fd_step: float | None = None,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
 ) -> np.ndarray:
     """Exact gradient of the surrogate cost at time t.
 
@@ -107,19 +99,16 @@ def ideal_gradient(
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if mode == "chain":
-        return surrogates(system, theta[None], [t], with_grad=True, blowup_cap=blowup_cap).grads[0]
+        return surrogates(system, theta[None], [t], with_grad=True).grads[0]
     if mode == "finite_diff":
-        h = fd_step if fd_step is not None else 1e-6 * (1.0 + np.linalg.norm(theta))
+        h = 1e-6 * (1.0 + np.linalg.norm(theta))
         grad = np.empty(system.d)
         for i in range(system.d):
             tp = theta.copy()
             tm = theta.copy()
             tp[i] += h
             tm[i] -= h
-            grad[i] = (
-                surrogate_cost(system, tp, t, blowup_cap)
-                - surrogate_cost(system, tm, t, blowup_cap)
-            ) / (2 * h)
+            grad[i] = (surrogate_cost(system, tp, t) - surrogate_cost(system, tm, t)) / (2 * h)
         return grad
     raise ValueError(f"unknown mode {mode!r}, expected 'chain' or 'finite_diff'")
 
@@ -128,34 +117,28 @@ class _IdealOgdSelector:
     """Plays the current theta; each observed step takes a projected step
     along the exact surrogate gradient at that theta."""
 
-    def __init__(self, system: ControlSystem, config: GapsConfig, blowup_cap: float):
+    def __init__(self, system: ControlSystem, config: GapsConfig):
         self.system = system
         self.config = config
-        self.blowup_cap = blowup_cap
         self.theta = config.theta0.copy()
 
     def propose(self, t, x):
         return self.theta
 
     def observe(self, t, x, u, cost):
-        grad = ideal_gradient(self.system, self.theta, t, mode="chain", blowup_cap=self.blowup_cap)
+        grad = ideal_gradient(self.system, self.theta, t, mode="chain")
         self.theta = self.config.set.project(self.theta - self.config.eta * grad)
         return grad
 
 
-def run_ideal_ogd(
-    system: ControlSystem,
-    config: GapsConfig,
-    T: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
-) -> Trajectory:
+def run_ideal_ogd(system: ControlSystem, config: GapsConfig, T: int) -> Trajectory:
     """Projected gradient descent on the exact surrogate gradients.
 
     The same `closed_loop` as the streaming runner, but each update uses the
     O(t) resimulated gradient at the current parameter, so the total cost is
     O(T^2): a desk-scale reference, not a deployable algorithm.
     """
-    return closed_loop(system, _IdealOgdSelector(system, config, blowup_cap), T, blowup_cap)
+    return closed_loop(system, _IdealOgdSelector(system, config), T)
 
 
 class FiniteMemoryGradient(NamedTuple):
@@ -168,7 +151,6 @@ def finite_memory_gradient(
     theta: np.ndarray,
     t: int,
     B: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
 ) -> FiniteMemoryGradient:
     """Truncated-memory estimator that resets the state B steps back.
 
@@ -185,7 +167,7 @@ def finite_memory_gradient(
     S = np.zeros((system.n, system.d))
     policy_evals = 0
     for tau in range(t - B, t):
-        check_state(tau, x, blowup_cap)
+        check_state(tau, x)
         jac = system.jacobians(tau, x, theta)
         u = system.policy(tau, x, theta)
         policy_evals += 1

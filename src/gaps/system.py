@@ -281,11 +281,16 @@ class ControlSystem(abc.ABC):
         X = np.tile(np.asarray(self.x0, dtype=float), (thetas.shape[0], 1))
         out = np.empty((T, thetas.shape[0]))
         for t in range(T):
-            check_state(t, X, DEFAULT_BLOWUP_CAP)
+            check_state(t, X)
             U = self.policy_lanes(t, X, thetas)
             out[t] = self.cost_lanes(t, X, U)
             X = self.dynamics_lanes(t, X, U)
         return out
+
+    def arm_thetas(self) -> list[np.ndarray] | None:
+        """The finite arm set a bandit selector chooses from, or None when
+        the system has none."""
+        return None
 
     def clone(self) -> "ControlSystem":
         """Independent copy sharing the same frozen disturbance realization."""
@@ -296,8 +301,8 @@ class ControlSystem(abc.ABC):
 # The closed loop and Jacobian validation
 
 
-def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
-    """Raise StateBlowup at step t unless |x| <= blowup_cap.
+def check_state(t: int, x: np.ndarray) -> None:
+    """Raise StateBlowup at step t unless |x| <= DEFAULT_BLOWUP_CAP.
 
     Written as `not norm <= cap` so that a NaN or infinite state fails too.
     x may carry a leading lane axis, and then every lane is checked: the
@@ -307,28 +312,23 @@ def check_state(t: int, x: np.ndarray, blowup_cap: float) -> None:
     # The value np.linalg.norm gives, without its call overhead: this runs
     # at every step of every loop.
     norm = math.sqrt(np.vdot(x, x))
-    if not norm <= blowup_cap and x.ndim == 2:
+    if not norm <= DEFAULT_BLOWUP_CAP and x.ndim == 2:
         norm = np.max(np.linalg.norm(x, axis=1))
-    if not norm <= blowup_cap:
-        raise StateBlowup(t, float(norm), blowup_cap)
+    if not norm <= DEFAULT_BLOWUP_CAP:
+        raise StateBlowup(t, float(norm), DEFAULT_BLOWUP_CAP)
 
 
-def closed_loop(
-    system: ControlSystem,
-    selector,
-    T: int,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
-) -> Trajectory:
+def closed_loop(system: ControlSystem, selector, T: int) -> Trajectory:
     """Run T steps of online policy selection on one trajectory.
 
     A selector has two methods. `propose(t, x)` returns theta_t for the
     observed state; `observe(t, x, u, cost)` receives the step just played
     and returns its gradient, or None for a selector that keeps none. Each
-    step checks x_t against blowup_cap (raising StateBlowup when its norm
-    exceeds the cap or is not finite), plays u_t = policy(t, x_t, theta_t),
-    records the step, and advances the dynamics after the selector has
-    observed it. The trajectory carries grads exactly when the selector
-    returned them.
+    step checks x_t against DEFAULT_BLOWUP_CAP (raising StateBlowup when its
+    norm exceeds the cap or is not finite), plays
+    u_t = policy(t, x_t, theta_t), records the step, and advances the
+    dynamics after the selector has observed it. The trajectory carries
+    grads exactly when the selector returned them.
     """
     x = np.array(system.x0, dtype=float)
     states = np.empty((T, system.n))
@@ -338,7 +338,7 @@ def closed_loop(
     grads = None
 
     for t in range(T):
-        check_state(t, x, blowup_cap)
+        check_state(t, x)
         theta = selector.propose(t, x)
         u = system.policy(t, x, theta)
         cost = system.cost(t, x, u)
@@ -371,17 +371,13 @@ class _Replay:
         return None
 
 
-def rollout(
-    system: ControlSystem,
-    theta_seq,
-    T: int | None = None,
-    blowup_cap: float = DEFAULT_BLOWUP_CAP,
-) -> Trajectory:
+def rollout(system: ControlSystem, theta_seq, T: int | None = None) -> Trajectory:
     """Run the closed loop under a given parameter sequence.
 
     theta_seq may be a (T, d) array, a list of vectors, or a single (d,)
     vector held constant. Raises StateBlowup once the state norm exceeds
-    blowup_cap or is not finite, which is the loud instability signal.
+    DEFAULT_BLOWUP_CAP or is not finite, which is the loud instability
+    signal.
     """
     theta_seq = np.asarray(theta_seq, dtype=float)
     if theta_seq.ndim == 1:
@@ -394,7 +390,7 @@ def rollout(
         raise DimensionMismatch(
             f"theta sequence has shape {theta_seq.shape}, need at least ({T}, {system.d})"
         )
-    return closed_loop(system, _Replay(theta_seq), T, blowup_cap)
+    return closed_loop(system, _Replay(theta_seq), T)
 
 
 @dataclass

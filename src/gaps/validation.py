@@ -56,11 +56,10 @@ def validate_jacobians(
     the checks stay away from switch boundaries.
     """
     rng = np.random.default_rng(seed)
-    arm_thetas = getattr(env, "arm_thetas", None)
+    arms = env.arm_thetas()
 
     def draw_theta():
-        if arm_thetas is not None:
-            arms = arm_thetas()
+        if arms is not None:
             return arms[rng.integers(len(arms))]
         return env.theta_set.project(env.theta_set.sample(rng))
 

@@ -3,8 +3,8 @@ import pytest
 
 from gaps.baps import BapsConfig, baps_update, min_batch_length, run_baps
 from gaps.envs import make_horizon_selection_env
-from gaps.envs.horizon import run_baps_scalar_batch
-from gaps.errors import ZeroProbabilitySampled
+from gaps.envs.horizon import HorizonSelectionEnv, run_baps_scalar_batch
+from gaps.errors import StateBlowup, ZeroProbabilitySampled
 from gaps.system import Box
 from gaps.envs.linear_feedback import LinearFeedbackEnv
 
@@ -214,3 +214,27 @@ class TestVectorizedBatch:
             # up to summation order.
             assert np.array_equal(res.distribution_history[-1], dists[i])
             assert res.trajectory.total_cost == pytest.approx(totals[i], rel=1e-12)
+
+    @pytest.mark.parametrize("w50", [np.nan, 1e9])
+    def test_blowup_raises_at_the_run_baps_step(self, w50):
+        envs = [make_horizon_selection_env([1, 2, 3], 200, seed=100 + s) for s in range(3)]
+        envs[1].w[50, 0] = w50
+        seeds = [1000 + s for s in range(3)]
+        with pytest.raises(StateBlowup) as batch:
+            run_baps_scalar_batch(envs, BapsConfig(k=3, b=25, eta=1e-3, seed=0), seeds)
+        with pytest.raises(StateBlowup) as single:
+            cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=seeds[1])
+            run_baps(envs[1], envs[1].arm_thetas(), cfg, 200)
+        assert batch.value.t == single.value.t == 51
+
+    def test_refuses_env_with_its_own_step_math(self):
+        class DoubledCost(HorizonSelectionEnv):
+            def cost(self, t, x, u):
+                return 2.0 * super().cost(t, x, u)
+
+        env = make_horizon_selection_env([1, 2, 3], 200, seed=0)
+        doubled = DoubledCost(
+            env.A, env.B, env.Q, env.R, env.Qf, env.horizons, env.w, env.w_pred
+        )
+        with pytest.raises(ValueError, match="step math"):
+            run_baps_scalar_batch([env, doubled], BapsConfig(k=3, b=25, eta=1e-3), [0, 1])

@@ -100,6 +100,15 @@ class TestRun:
         ["env.name=horizon", "algorithm.name=baps", "algorithm.params.b=0"],
         ["env.name=horizon", "algorithm.name=baps", "algorithm.params.k=0"],
         ["env.name=horizon", "algorithm.name=baps", "algorithm.params.k=5"],
+        ["env.params.k=0"],
+        ['env.params.sigma_w="x"'],
+        ["env.name=horizon", "env.params.horizons=[]"],
+        ["env.name=horizon", "env.params.horizons=[0,1]"],
+        ["env.name=pendulum", "env.params.masses=[]"],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","mean_reversion":500}'],
+        ["env.name=dac", "env.params.n=0"],
+        ["metrics.grid_points=0"],
+        ["algorithm.name=ftl", "env.params.k=2"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -109,6 +118,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", ["contraction.horizon=1", "contraction.pairs=0"])
+    def test_bad_contraction_settings_are_config_errors(self, tmp_path, capsys, override):
+        argv = ["contraction", "--out", str(tmp_path / "bad"), "--override", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "bad" / "contraction.json").exists()
 
     @pytest.mark.parametrize(
         "env_name, field, step", [("pendulum", "w", 10), ("fig2", "w_pred", 5)]

@@ -266,7 +266,7 @@ class TestHorizonSelection:
         X = np.broadcast_to(env.x0, (arms.shape[0], env.n)).copy()
         out = np.empty((T, arms.shape[0]))
         for t in range(T):
-            check_state(t, X, DEFAULT_BLOWUP_CAP)
+            check_state(t, X)
             U = -np.einsum("gij,gj->gi", gains, X) - ff[t]
             out[t] = quadratic_cost(X, env.Q, U, env.R)
             X = X @ env.A.T + U @ env.B.T + env.w[t]

@@ -1,11 +1,13 @@
-"""Start-up cost guard: the package must not pull in scipy.
+"""Guards on what the package loads and exports.
 
-Importing scipy costs about a second per process, and every `gapsctl` call
-and swept value pays start-up again, so this runs the CLI's import, env
-build and the grid and arm-cost helpers in a fresh interpreter and checks
-which modules got loaded.
+Start-up cost: the package must not pull in scipy. Importing scipy costs
+about a second per process, and every `gapsctl` call and swept value pays
+start-up again, so this runs the CLI's import, env build and the grid and
+arm-cost helpers in a fresh interpreter and checks which modules got
+loaded.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import gaps
+import gaps.envs
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -41,3 +44,24 @@ def test_cli_and_env_builds_load_no_scipy():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert json.loads(out.stdout) == []
+
+
+def test_no_exported_callable_takes_a_blowup_cap():
+    """The blow-up cap is the one constant DEFAULT_BLOWUP_CAP, not a knob."""
+    found = []
+    for module in (gaps, gaps.envs):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                methods = inspect.getmembers(obj, inspect.isfunction)
+                members += [(f"{name}.{m}", f) for m, f in methods]
+            for label, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except ValueError:  # exception classes have no signature
+                    continue
+                if "blowup_cap" in params:
+                    found.append(f"{module.__name__}.{label}")
+    assert found == []

@@ -293,6 +293,9 @@ class TestSurrogateTable:
         assert sobol.shape == (512, 3)
         with pytest.raises(ValueError):
             make_theta_grid(Box([0.0] * 7, [1.0] * 7))
+        for d in (1, 2, 3):
+            with pytest.raises(ValueError, match="points_per_dim"):
+                make_theta_grid(Box([0.0] * d, [1.0] * d), 0)
 
 
 class TestLocalRegret:

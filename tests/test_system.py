@@ -124,7 +124,7 @@ class TestRollout:
             theta_set=Box([0.0], [0.0]), x0=[1.0],
         )
         with pytest.raises(StateBlowup):
-            rollout(env, np.array([0.0]), T=200, blowup_cap=1e6)
+            rollout(env, np.array([0.0]), T=200)
 
 
 class TestLaneEntryPoints:
