@@ -33,6 +33,7 @@ from .errors import (
     NonFiniteGradient,
     StateBlowup,
 )
+from .linalg import row_norms
 from .metrics import (
     local_regret,
     make_theta_grid,
@@ -62,6 +63,9 @@ def derive_seed(global_seed: int, label: str) -> int:
     for byte in label.encode():
         h = ((h ^ byte) * 0x100000001B3) & _MASK
     return _splitmix64((int(global_seed) ^ h) & _MASK)
+
+
+_TRACE_BLOCK = 128  # trace rows formatted per write
 
 
 def _fmt(x) -> str:
@@ -204,6 +208,8 @@ def _make_env(name: str, params: dict, T: int, seed: int):
         return env_mod.make_constant_noise_env(T=T, seed=seed, **params)
     if name == "pendulum":
         spec = params.pop("disturbance", {"kind": "iid", "sigma": 1.0})
+        if not isinstance(spec, dict):
+            raise ValueError(f"disturbance must be an object, got {spec!r}")
         kind = spec.get("kind", "iid")
         if kind == "iid":
             dist = env_mod.IidGaussian(spec.get("sigma", 1.0))
@@ -303,20 +309,30 @@ def write_trace(path: str, traj) -> None:
         + [f"theta{i}" for i in range(d)]
         + ["cost", "grad_norm"]
     )
-    grads = traj.grads
+    T = len(traj)
+    if traj.grads is None:
+        gnorms = np.full(T, np.nan)
+    else:
+        gnorms = row_norms(traj.grads)
+    # One row template; %.17g writes what _fmt writes. Rows go out in
+    # blocks, so the Python copy of the table stays small.
+    row = "%d" + ",%.17g" * (n + m + d + 2) + "\n"
     with open(path, "w") as f:
         f.write(f"# schema_version={SCHEMA_VERSION}\n")
         f.write(",".join(header) + "\n")
-        for t in range(len(traj)):
-            gnorm = float(np.linalg.norm(grads[t])) if grads is not None else float("nan")
-            row = (
-                [str(t)]
-                + [_fmt(v) for v in traj.states[t]]
-                + [_fmt(v) for v in traj.actions[t]]
-                + [_fmt(v) for v in traj.thetas[t]]
-                + [_fmt(traj.costs[t]), _fmt(gnorm)]
+        for lo in range(0, T, _TRACE_BLOCK):
+            hi = min(lo + _TRACE_BLOCK, T)
+            block = np.column_stack(
+                (
+                    np.arange(lo, hi),
+                    traj.states[lo:hi],
+                    traj.actions[lo:hi],
+                    traj.thetas[lo:hi],
+                    traj.costs[lo:hi],
+                    gnorms[lo:hi],
+                )
             )
-            f.write(",".join(row) + "\n")
+            f.write("".join([row % tuple(r) for r in block.tolist()]))
 
 
 def compute_report(config: dict, env, traj, extras: dict) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import per_step, quadratic_cost, solve_dare
+from ..linalg import per_step, quadratic_cost, row_matmul, solve_dare
 from ..system import Ball, ControlSystem, StepJacobians
 
 
@@ -53,14 +53,15 @@ class DacEnv(ControlSystem):
         return theta.reshape(theta.shape[:-1] + (self.h, self.m, self.n))
 
     # The step math below broadcasts over a leading lane axis of x, theta
-    # and u, so the lane-axis entry points are the same methods.
+    # and u, so the lane-axis entry points are the same methods; row_matmul
+    # gives each lane the bits a single state gets.
 
     def policy(self, t, x, theta):
         past = np.einsum("...hmn,hn->...m", self.matrices(theta), self._past_w(t))
-        return -x @ self.K_stb[t].T + past
+        return row_matmul(-x, self.K_stb[t]) + past
 
     def dynamics(self, t, x, u):
-        return x @ self.A[t].T + u @ self.B[t].T + self.w[t]
+        return row_matmul(x, self.A[t]) + row_matmul(u, self.B[t]) + self.w[t]
 
     def cost(self, t, x, u):
         return quadratic_cost(x, self.Q[t], u, self.R[t])

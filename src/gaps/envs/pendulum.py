@@ -129,7 +129,8 @@ class PendulumEnv(ControlSystem):
     def dynamics_lanes(self, t, X, U):
         p = self.p
         ml2 = self.mass_at(t) * p.length**2
-        angle, velocity = X.T
+        angle = X[:, 0]
+        velocity = X[:, 1]
         accel = (
             (p.gravity / p.length) * np.sin(angle)
             - (p.damping / ml2) * velocity

@@ -44,6 +44,26 @@ def per_step(M, T: int) -> np.ndarray:
     return M
 
 
+def row_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M.T for one vector x, or for each row of a lane stack x.
+
+    Each row is multiplied as a single vector is, so lanes match the
+    per-state math bit for bit; one (L, n) @ (n, m) product takes another
+    BLAS kernel, whose result can differ in the last bit.
+    """
+    return (x[..., None, :] @ M.T)[..., 0, :]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of x.
+
+    Each norm is the dot product np.linalg.norm takes of a single vector;
+    np.linalg.norm with an axis sums squares instead, which can differ in
+    the last bit.
+    """
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def quadratic_cost(x: np.ndarray, Q: np.ndarray, u: np.ndarray, R: np.ndarray):
     """x'Qx + u'Ru, one value per lane when x and u carry a leading lane axis."""
     return np.einsum("...i,ij,...j->...", x, Q, x) + np.einsum("...i,ij,...j->...", u, R, u)

@@ -15,7 +15,6 @@ the step back to the selector. Only the selectors differ between runners.
 from __future__ import annotations
 
 import abc
-import copy
 import math
 from dataclasses import dataclass
 
@@ -291,10 +290,6 @@ class ControlSystem(abc.ABC):
         """The finite arm set a bandit selector chooses from, or None when
         the system has none."""
         return None
-
-    def clone(self) -> "ControlSystem":
-        """Independent copy sharing the same frozen disturbance realization."""
-        return copy.deepcopy(self)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,7 @@ class TestRun:
         ["env.name=dac", "env.params.n=0"],
         ["metrics.grid_points=0"],
         ["algorithm.name=ftl", "env.params.k=2"],
+        ["env.name=pendulum", 'env.params.disturbance="x"'],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -119,7 +120,9 @@ class TestRun:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("override", ["contraction.horizon=1", "contraction.pairs=0"])
+    @pytest.mark.parametrize(
+        "override", ["contraction.horizon=1", "contraction.pairs=0", "T=20"]
+    )
     def test_bad_contraction_settings_are_config_errors(self, tmp_path, capsys, override):
         argv = ["contraction", "--out", str(tmp_path / "bad"), "--override", override]
         assert main(argv) == 2
@@ -197,6 +200,49 @@ class TestRun:
         out = tmp_path / "ftl"
         assert main(["run", "--out", str(out), "--override", "algorithm.name=ftl",
                      "--override", "T=120"]) == 0
+
+
+def reference_trace(traj):
+    """The trace body written one value at a time with _fmt."""
+    fmt = gaps.cli._fmt
+    lines = []
+    for t in range(len(traj)):
+        gnorm = float(np.linalg.norm(traj.grads[t])) if traj.grads is not None else float("nan")
+        row = (
+            [str(t)]
+            + [fmt(v) for v in traj.states[t]]
+            + [fmt(v) for v in traj.actions[t]]
+            + [fmt(v) for v in traj.thetas[t]]
+            + [fmt(traj.costs[t]), fmt(gnorm)]
+        )
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("with_grads", [True, False])
+def test_trace_matches_per_value_format(tmp_path, with_grads):
+    # More rows than one write block, awkward values, and a 3-d gradient
+    # whose norm must come out as np.linalg.norm gives it.
+    from gaps.system import Trajectory
+
+    rng = np.random.default_rng(0)
+    T = 1100
+    scale = 10.0 ** rng.integers(-300, 300, (T, 1))
+    traj = Trajectory(
+        states=rng.standard_normal((T, 2)) * scale,
+        actions=rng.standard_normal((T, 1)),
+        thetas=rng.standard_normal((T, 3)),
+        costs=rng.standard_normal(T),
+        final_state=np.zeros(2),
+        grads=rng.standard_normal((T, 3)) * 1e3 if with_grads else None,
+    )
+    traj.states[:4, 0] = [np.nan, np.inf, -np.inf, -0.0]
+    traj.costs[5] = 1e-310
+    path = tmp_path / "trace.csv"
+    gaps.cli.write_trace(str(path), traj)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[1] == "t,x0,x1,u0,theta0,theta1,theta2,cost,grad_norm\n"
+    assert "".join(lines[2:]) == reference_trace(traj)
 
 
 class TestSweep:

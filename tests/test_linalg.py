@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaps.errors import NonConvergence, SingularMatrix
-from gaps.linalg import finite_horizon_lq, solve_dare, solve_linear
+from gaps.linalg import finite_horizon_lq, row_matmul, row_norms, solve_dare, solve_linear
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -169,3 +169,24 @@ class TestSolveLinear:
         M = np.array(M)
         with pytest.raises(SingularMatrix):
             solve_linear(M, np.ones(M.shape[0]))
+
+
+class TestRowwise:
+    """Stacked rows get the bits a single vector gets."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_row_norms_match_single_vector_norm(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((500, n)) * rng.uniform(0.0, 1e3, (500, 1))
+        expected = np.array([np.linalg.norm(x) for x in X])
+        assert np.array_equal(row_norms(X), expected)
+        assert np.array_equal(row_norms(X.reshape(50, 10, n)), expected.reshape(50, 10))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)])
+    def test_row_matmul_matches_single_vector_product(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        X = rng.standard_normal((300, n))
+        M = rng.standard_normal((m, n))
+        expected = np.array([x @ M.T for x in X])
+        assert np.array_equal(row_matmul(X, M), expected)
+        assert np.array_equal(row_matmul(X[0], M), X[0] @ M.T)
