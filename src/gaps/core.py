@@ -64,8 +64,7 @@ class GapsState:
     ring[b-1] holds the (n, d) matrix for lag b; ring has shape (k, n, d)
     with k = min(B - 1, t). The state dimension n is known only after the
     first step, so the ring defaults to the empty (0, 0, d) array; at B = 1
-    every step leaves it empty as (0, n, d). buffer is the same ring as a
-    list of per-lag views.
+    every step leaves it empty as (0, n, d).
     """
 
     t: int
@@ -79,10 +78,6 @@ class GapsState:
     @classmethod
     def initial(cls, config: GapsConfig) -> "GapsState":
         return cls(t=0, theta=config.theta0.copy())
-
-    @property
-    def buffer(self) -> list[np.ndarray]:
-        return list(self.ring)
 
 
 def gaps_step(

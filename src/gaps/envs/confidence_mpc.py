@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import finite_horizon_lq, per_step, quadratic_cost, solve_dare
-from ..system import Box, ControlSystem, StepJacobians
+from ..linalg import finite_horizon_lq, row_matmul, solve_dare
+from ..system import Box, ControlSystem
 from .disturbances import IidGaussian, PiecewiseNoiseSchedule
+from .linear_quadratic import LinearQuadraticEnv
 
 
-class ConfidenceMpcEnv(ControlSystem):
+class ConfidenceMpcEnv(LinearQuadraticEnv):
     """LTV dynamics x' = A_t x + B_t u + w_t with quadratic stage costs.
 
     theta in [0, 1]^k weights how much of each predicted disturbance the
@@ -35,31 +36,16 @@ class ConfidenceMpcEnv(ControlSystem):
         predictions: np.ndarray,  # (T, k, n): w_pred[t, i] predicts w_{t+i}
         x0=None,
     ):
-        self.w = np.atleast_2d(np.asarray(disturbances, dtype=float))
         self.w_pred = np.asarray(predictions, dtype=float)
         self.k = int(k)
         if self.k < 1:
             raise ValueError(f"planning horizon k must be at least 1, got {self.k}")
         self.T = self.w_pred.shape[0]
-        horizon = self.T + self.k
-        if self.w.shape[0] < horizon:
-            raise ValueError("need disturbances up to T + k")
-        self.A = per_step(A, horizon)
-        self.B = per_step(B, horizon)
-        self.Q = per_step(Q, horizon)
-        self.R = per_step(R, horizon)
+        super().__init__(A, B, Q, R, disturbances, x0, horizon=self.T + self.k)
         self.Qf = np.atleast_2d(np.asarray(Qf, dtype=float))
-        self.n = self.A.shape[1]
-        self.m = self.B.shape[2]
         self.d = self.k
         self.theta_set = Box(np.zeros(self.k), np.ones(self.k))
-        self.x0 = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float)
-        self._time_invariant = (
-            np.asarray(A).ndim == 2
-            and np.asarray(B).ndim == 2
-            and np.asarray(Q).ndim == 2
-            and np.asarray(R).ndim == 2
-        )
+        self._time_invariant = all(np.ndim(M) == 2 for M in (A, B, Q, R))
         self._gain_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._ff_cache: dict[int, np.ndarray] = {}
 
@@ -69,14 +55,8 @@ class ConfidenceMpcEnv(ControlSystem):
         cached = self._gain_cache.get(key)
         if cached is not None:
             return cached
-        sol = finite_horizon_lq(
-            [self.A[t + j] for j in range(self.k)],
-            [self.B[t + j] for j in range(self.k)],
-            [self.Q[t + j] for j in range(self.k)],
-            [self.R[t + j] for j in range(self.k)],
-            self.Qf,
-            self.k,
-        )
+        window = [list(M[t : t + self.k]) for M in (self.A, self.B, self.Q, self.R)]
+        sol = finite_horizon_lq(*window, self.Qf, self.k)
         plan = (sol.gains[0], np.stack(sol.feedforward))
         self._gain_cache[key] = plan
         return plan
@@ -95,36 +75,36 @@ class ConfidenceMpcEnv(ControlSystem):
 
     def policy(self, t, x, theta):
         K, _ = self._plan(t)
-        return -x @ K.T - np.asarray(theta, dtype=float) @ self.feedforward_terms(t)
-
-    def dynamics(self, t, x, u):
-        return x @ self.A[t].T + u @ self.B[t].T + self.w[t]
-
-    def cost(self, t, x, u):
-        return float(x @ self.Q[t] @ x + u @ self.R[t] @ u)
+        ff = self.feedforward_terms(t)
+        return row_matmul(-x, K) - row_matmul(np.asarray(theta, dtype=float), ff.T)
 
     def jacobians(self, t, x, theta):
         K, _ = self._plan(t)
-        ff = self.feedforward_terms(t)
-        u = -x @ K.T - np.asarray(theta, dtype=float) @ ff
-        return StepJacobians(
-            dg_dx=self.A[t],
-            dg_du=self.B[t],
-            dpi_dx=-K,
-            dpi_dtheta=-ff.T,
-            df_dx=2.0 * x @ self.Q[t].T,
-            df_du=2.0 * u @ self.R[t].T,
-        )
-
-    def cost_lanes(self, t, X, U):
-        return quadratic_cost(X, self.Q[t], U, self.R[t])
+        u = self.policy(t, x, theta)
+        return self.step_jacobians(t, x, u, -K, -self.feedforward_terms(t).T)
 
     policy_lanes = policy
-    dynamics_lanes = dynamics
     jacobians_lanes = jacobians
-    # Bound here, not only inherited, so that per-class hooks on this name
-    # (the benchmark's tracer) find it in the class namespace.
+    # Bound here, not only inherited, so that per-class hooks on these names
+    # (the benchmark's tracer) find them in the class namespace. Each lane
+    # entry point is bound with its method, or ControlSystem.__init_subclass__
+    # would give the class the per-lane loop.
+    dynamics = dynamics_lanes = LinearQuadraticEnv.dynamics
+    cost = cost_lanes = LinearQuadraticEnv.cost
     batch_surrogate_costs = ControlSystem.batch_surrogate_costs
+
+
+def _scalar_env(T, seed, k, a, b, sigma_w, pred_sigmas) -> ConfidenceMpcEnv:
+    """x' = a x + b u + w with cost x^2 + u^2 and the stationary Riccati
+    solution as terminal planner cost. At step t, the prediction of each
+    w_{t+i} carries Gaussian noise of scale pred_sigmas[t]."""
+    A, B, q = np.array([[a]]), np.array([[b]]), np.array([[1.0]])
+    rng = np.random.default_rng(seed)
+    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
+    noise = rng.standard_normal((T, k, 1)) * pred_sigmas[:, None, None]
+    windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
+    qf = solve_dare(A, B, q, q).P
+    return ConfidenceMpcEnv(A, B, q, q, qf, k, w, windows[:, :, None] + noise)
 
 
 def make_fig2_env(
@@ -146,22 +126,10 @@ def make_fig2_env(
     the factor-100 drop); they are sized so that learning rates around 1e-3
     sit in the linear-bias regime of the gradient recursion.
     """
-    a = np.array([[2.0]])
-    b = np.array([[1.0]])
-    q = np.array([[1.0]])
-    r = np.array([[1.0]])
-    qf = solve_dare(a, b, q, r).P
-
-    rng = np.random.default_rng(seed)
-    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
     schedule = PiecewiseNoiseSchedule(
         [(0, switch_time + 1, sigma_pred_before), (switch_time + 1, T, sigma_pred_after)]
     )
-    sigmas = schedule.sigmas(T)
-    noise = rng.standard_normal((T, k, 1)) * sigmas[:, None, None]
-    windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
-    predictions = windows[:, :, None] + noise
-    return ConfidenceMpcEnv(a, b, q, r, qf, k, w, predictions)
+    return _scalar_env(T, seed, k, 2.0, 1.0, sigma_w, schedule.sigmas(T))
 
 
 def make_constant_noise_env(
@@ -178,14 +146,4 @@ def make_constant_noise_env(
     The surrogate cost is a fixed convex quadratic in the confidence vector,
     which is the clean setting for regret-growth measurements.
     """
-    A = np.array([[a]])
-    B = np.array([[b]])
-    q = np.array([[1.0]])
-    r = np.array([[1.0]])
-    qf = solve_dare(A, B, q, r).P
-    rng = np.random.default_rng(seed)
-    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
-    noise = sigma_pred * rng.standard_normal((T, k, 1))
-    windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
-    predictions = windows[:, :, None] + noise
-    return ConfidenceMpcEnv(A, B, q, r, qf, k, w, predictions)
+    return _scalar_env(T, seed, k, a, b, sigma_w, np.full(T, sigma_pred, dtype=float))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import per_step, quadratic_cost, row_matmul, solve_dare
-from ..system import Ball, ControlSystem, StepJacobians
+from ..linalg import per_step, row_matmul, solve_dare
+from ..system import Ball
+from .linear_quadratic import LinearQuadraticEnv
 
 
-class DacEnv(ControlSystem):
+class DacEnv(LinearQuadraticEnv):
     def __init__(
         self,
         A,
@@ -27,60 +28,40 @@ class DacEnv(ControlSystem):
         radius: float,
         x0=None,
     ):
-        self.w = np.atleast_2d(np.asarray(disturbances, dtype=float))
+        super().__init__(A, B, Q, R, disturbances, x0)
         self.T = self.w.shape[0]
-        self.A = per_step(A, self.T)
-        self.B = per_step(B, self.T)
-        self.Q = per_step(Q, self.T)
-        self.R = per_step(R, self.T)
         self.K_stb = per_step(K_stb, self.T)
         self.h = int(history)
-        self.n = self.A.shape[1]
-        self.m = self.B.shape[2]
         self.d = self.h * self.m * self.n
         self.theta_set = Ball(np.zeros(self.d), radius)
-        self.x0 = np.zeros(self.n) if x0 is None else np.asarray(x0, dtype=float)
+        # h zero rows followed by w, with w a view into it, so that edits to
+        # w reach the history too: rows t .. t + h - 1 are w_{t-h} .. w_{t-1}.
+        self._w_padded = np.concatenate([np.zeros((self.h, self.n)), self.w])
+        self.w = self._w_padded[self.h :]
 
     def _past_w(self, t: int) -> np.ndarray:
         """(h, n) stack of w_{t-1}, ..., w_{t-h}; disturbances before the
-        start of time are zero."""
-        return np.stack(
-            [self.w[t - lag] if t - lag >= 0 else np.zeros(self.n) for lag in range(1, self.h + 1)]
-        )
+        start of time are zero. Contiguous, because einsum over the reversed
+        view sums in another order and can differ in the last bit."""
+        return np.ascontiguousarray(self._w_padded[t : t + self.h][::-1])
 
     def matrices(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         return theta.reshape(theta.shape[:-1] + (self.h, self.m, self.n))
 
     # The step math below broadcasts over a leading lane axis of x, theta
-    # and u, so the lane-axis entry points are the same methods; row_matmul
-    # gives each lane the bits a single state gets.
+    # and u, so the lane-axis entry points are the same methods.
 
     def policy(self, t, x, theta):
         past = np.einsum("...hmn,hn->...m", self.matrices(theta), self._past_w(t))
         return row_matmul(-x, self.K_stb[t]) + past
 
-    def dynamics(self, t, x, u):
-        return row_matmul(x, self.A[t]) + row_matmul(u, self.B[t]) + self.w[t]
-
-    def cost(self, t, x, u):
-        return quadratic_cost(x, self.Q[t], u, self.R[t])
-
     def jacobians(self, t, x, theta):
         u = self.policy(t, x, theta)
         blocks = [np.kron(np.eye(self.m), w[None, :]) for w in self._past_w(t)]
-        return StepJacobians(
-            dg_dx=self.A[t],
-            dg_du=self.B[t],
-            dpi_dx=-self.K_stb[t],
-            dpi_dtheta=np.hstack(blocks),
-            df_dx=2.0 * x @ self.Q[t].T,
-            df_du=2.0 * u @ self.R[t].T,
-        )
+        return self.step_jacobians(t, x, u, -self.K_stb[t], np.hstack(blocks))
 
     policy_lanes = policy
-    dynamics_lanes = dynamics
-    cost_lanes = cost
     jacobians_lanes = jacobians
 
 

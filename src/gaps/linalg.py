@@ -45,13 +45,15 @@ def per_step(M, T: int) -> np.ndarray:
 
 
 def row_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M.T for one vector x, or for each row of a lane stack x.
-
-    Each row is multiplied as a single vector is, so lanes match the
-    per-state math bit for bit; one (L, n) @ (n, m) product takes another
-    BLAS kernel, whose result can differ in the last bit.
+    """x @ M.T for one vector x, or row by row for a lane stack x, with M one
+    matrix or one per lane. Each row gets the bits a single vector gets; one
+    (L, n) @ (n, m) product takes another BLAS kernel, which can differ in the
+    last bit. One-column rows have no sum to reorder and take the plain
+    product, which is faster.
     """
-    return (x[..., None, :] @ M.T)[..., 0, :]
+    if x.ndim == 1 or (x.shape[-1] == 1 and M.ndim == 2):
+        return x @ M.T
+    return (x[..., None, :] @ np.swapaxes(M, -1, -2))[..., 0, :]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -65,8 +67,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def quadratic_cost(x: np.ndarray, Q: np.ndarray, u: np.ndarray, R: np.ndarray):
-    """x'Qx + u'Ru, one value per lane when x and u carry a leading lane axis."""
-    return np.einsum("...i,ij,...j->...", x, Q, x) + np.einsum("...i,ij,...j->...", u, R, u)
+    """x'Qx + u'Ru: a float for one state, one value per lane for a lane stack,
+    each lane summed as a single state is."""
+    if x.ndim == 1:
+        return float(x @ Q @ x + u @ R @ u)
+    x_row, u_row = x[..., None, :], u[..., None, :]
+    return ((x_row @ Q) @ x[..., None] + (u_row @ R) @ u[..., None])[..., 0, 0]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .envs import (
 )
 from .errors import Divergence
 from .linalg import solve_dare
-from .system import Box, check_jacobians
+from .system import Box, ControlSystem, Trajectory, check_jacobians
 
 
 @dataclass
@@ -86,22 +86,32 @@ def validate_jacobians(
     )
 
 
+def chain_rule_gradients(system: ControlSystem, traj: Trajectory, B: int) -> np.ndarray:
+    """(T, d) truncated gradients of a run from explicit chain-rule products
+    over the visited Jacobians: the reference for the streaming ring. The
+    closed-loop blocks are written out here rather than taken from the
+    StepJacobians methods the recursion uses, so a fault in those shows."""
+    T = len(traj)
+    jacs = [system.jacobians(t, traj.states[t], traj.thetas[t]) for t in range(T)]
+    grads = np.empty((T, system.d))
+    for t in range(T):
+        total = jacs[t].df_du @ jacs[t].dpi_dtheta
+        dc_dx = jacs[t].df_dx + jacs[t].df_du @ jacs[t].dpi_dx
+        for b in range(1, min(B - 1, t) + 1):
+            M = jacs[t - b].dg_du @ jacs[t - b].dpi_dtheta
+            for j in range(t - b + 1, t):
+                M = (jacs[j].dg_dx + jacs[j].dg_du @ jacs[j].dpi_dx) @ M
+            total = total + dc_dx @ M
+        grads[t] = total
+    return grads
+
+
 def validate_buffer_equivalence(seed: int = 0, T: int = 40, B: int = 12) -> CheckResult:
     """Streaming buffer gradient vs explicit chain-rule products."""
     env = make_fig2_env(T=T, seed=seed)
     cfg = GapsConfig(eta=1e-3, B=B, theta0=[0.8], set=env.theta_set)
     traj = run_gaps(env, cfg, T)
-    jacs = [env.jacobians(t, traj.states[t], traj.thetas[t]) for t in range(T)]
-    worst = 0.0
-    for t in range(T):
-        total = jacs[t].df_du @ jacs[t].dpi_dtheta
-        dc_dx = jacs[t].dcost_dx_closed()
-        for b in range(1, min(B - 1, t) + 1):
-            M = jacs[t - b].dg_du @ jacs[t - b].dpi_dtheta
-            for j in range(t - b + 1, t):
-                M = jacs[j].closed_loop() @ M
-            total = total + dc_dx @ M
-        worst = max(worst, float(np.max(np.abs(total - traj.grads[t]))))
+    worst = float(np.max(np.abs(chain_rule_gradients(env, traj, B) - traj.grads)))
     return CheckResult(
         suite="gradient-buffer",
         name="recursion equals explicit chain rule",

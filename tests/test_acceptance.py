@@ -34,7 +34,7 @@ from gaps.metrics import (
 )
 from gaps.oracles import ideal_gradient, surrogate_cost
 from gaps.system import Box
-from gaps.validation import validate_jacobians, validate_mpc_vs_qp
+from gaps.validation import chain_rule_gradients, validate_jacobians, validate_mpc_vs_qp
 from conftest import random_tanh_system
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -57,16 +57,8 @@ def test_ac1_buffer_equals_explicit_chain_rule():
         B = int(rng.choice([1, 5, 60]))
         cfg = GapsConfig(eta=1e-3, B=B, theta0=np.zeros(system.d), set=system.theta_set)
         traj = run_gaps(system, cfg, T)
-        jacs = [system.jacobians(t, traj.states[t], traj.thetas[t]) for t in range(T)]
-        for t in range(T):
-            total = jacs[t].df_du @ jacs[t].dpi_dtheta
-            dc_dx = jacs[t].dcost_dx_closed()
-            for b in range(1, min(B - 1, t) + 1):
-                M = jacs[t - b].dg_du @ jacs[t - b].dpi_dtheta
-                for j in range(t - b + 1, t):
-                    M = jacs[j].closed_loop() @ M
-                total = total + dc_dx @ M
-            worst = max(worst, float(np.max(np.abs(total - traj.grads[t]))))
+        err = np.abs(chain_rule_gradients(system, traj, B) - traj.grads)
+        worst = max(worst, float(np.max(err)))
     elapsed = time.time() - start
     report(
         "AC-1",

@@ -29,7 +29,7 @@ class TestGapsStep:
         grad, new_state = gaps_step(state, jac, cfg)
         assert np.allclose(grad, jac.df_du @ jac.dpi_dtheta, atol=0)
         assert new_state.t == 1
-        assert len(new_state.buffer) == 1
+        assert new_state.ring.shape[0] == 1
 
     def test_buffer_length_one_never_populates(self, tanh_system):
         cfg = GapsConfig(eta=0.05, B=1, theta0=np.zeros(2), set=tanh_system.theta_set)
@@ -39,7 +39,7 @@ class TestGapsStep:
             jac = tanh_system.jacobians(t, x, state.theta)
             grad, state = gaps_step(state, jac, cfg)
             assert np.allclose(grad, jac.df_du @ jac.dpi_dtheta, atol=0)
-            assert state.buffer == []
+            assert state.ring.shape[0] == 0
             x = tanh_system.dynamics(t, x, tanh_system.policy(t, x, state.theta))
 
     @pytest.mark.parametrize("B", [1, 4])
@@ -142,9 +142,9 @@ class TestStackedRing:
             g, state = gaps_step(state, jac, cfg)
             assert np.array_equal(g, grad)
             assert state.ring.shape == (min(B - 1, t + 1), env.n, env.d)
-            assert len(state.buffer) == len(ring)
+            assert state.ring.shape[0] == len(ring)
             for b in range(1, len(ring) + 1):
-                assert np.array_equal(state.buffer[b - 1], ring[b - 1])
+                assert np.array_equal(state.ring[b - 1], ring[b - 1])
             x = env.dynamics(t, x, u)
 
     def test_ring_length_mismatch_raises(self, tanh_system):

@@ -6,6 +6,8 @@ import pytest
 from gaps.core import GapsConfig, run_gaps
 from gaps.errors import StateBlowup
 from gaps.envs import (
+    ConfidenceMpcEnv,
+    DacEnv,
     IidGaussian,
     OrnsteinUhlenbeck,
     PiecewiseNoiseSchedule,
@@ -18,7 +20,7 @@ from gaps.envs import (
 )
 from gaps.envs.horizon import HorizonSelectionEnv
 from gaps.envs.linear_feedback import LinearFeedbackEnv
-from gaps.linalg import quadratic_cost, solve_dare
+from gaps.linalg import quadratic_cost, row_matmul, solve_dare
 from gaps.metrics import surrogate_table
 from gaps.system import DEFAULT_BLOWUP_CAP, Box, check_jacobians, check_state, rollout
 from gaps.validation import _qp_first_control
@@ -172,6 +174,26 @@ class TestDac:
             lhs = surrogate_cost(env, mid, t)
             rhs = 0.5 * surrogate_cost(env, th1, t) + 0.5 * surrogate_cost(env, th2, t)
             assert lhs <= rhs + 1e-10
+
+    @pytest.mark.parametrize("history", [1, 4])
+    def test_past_w_matches_stacked_history(self, history):
+        env = make_dac_env(30, seed=3, n=3, history=history)
+        theta = env.theta_set.sample(np.random.default_rng(6))
+        x = np.random.default_rng(7).standard_normal(3)
+        for t in range(env.T):
+            stacked = np.stack(
+                [env.w[t - lag] if t - lag >= 0 else np.zeros(env.n) for lag in range(1, history + 1)]
+            )
+            assert np.array_equal(env._past_w(t), stacked)
+            past = np.einsum("hmn,hn->m", env.matrices(theta), stacked)
+            assert np.array_equal(env.policy(t, x, theta), row_matmul(-x, env.K_stb[t]) + past)
+
+    def test_edits_to_w_reach_past_w(self):
+        env = make_dac_env(10, seed=3, n=2, history=3)
+        env.w[4] = [7.0, -7.0]
+        assert np.array_equal(env._past_w(5)[0], [7.0, -7.0])
+        assert np.array_equal(env._past_w(7)[2], [7.0, -7.0])
+        assert np.array_equal(env._past_w(1)[1:], np.zeros((2, 2)))
 
     def test_jacobians(self):
         env = make_dac_env(100, seed=2)
@@ -435,3 +457,60 @@ class TestLinearFeedback:
             theta = env.theta_set.sample(rng)
             rep = check_jacobians(env, int(rng.integers(0, 100)), x, theta)
             assert rep.passed, rep.errors
+
+
+def _random_lq_envs(n=3, m=2, T=40, seed=12):
+    """The three linear-quadratic envs built directly with n > 1 and dense
+    time-varying A_t, B_t, Q_t and R_t, so every product sums several terms."""
+    rng = np.random.default_rng(seed)
+
+    def spd(dim, count):
+        G = rng.standard_normal((count, dim, dim))
+        return G @ G.transpose(0, 2, 1) + np.eye(dim)
+
+    k = 2
+    A = 0.3 * rng.standard_normal((T + k, n, n))
+    B = rng.standard_normal((T + k, n, m))
+    Q, R = spd(n, T + k), spd(m, T + k)
+    w = rng.standard_normal((T + k, n))
+    preds = w[np.arange(T)[:, None] + np.arange(k)] + 0.3 * rng.standard_normal((T, k, n))
+    x0 = rng.standard_normal(n)
+    return {
+        "linear_feedback": LinearFeedbackEnv(
+            A[:T], B[:T], Q[:T], R[:T], w[:T], Box(-0.2 * np.ones(n * m), 0.2 * np.ones(n * m)), x0
+        ),
+        "confidence_mpc": ConfidenceMpcEnv(A, B, Q, R, spd(n, 1)[0], k, w, preds, x0),
+        "dac": DacEnv(
+            A[:T], B[:T], Q[:T], R[:T], 0.1 * rng.standard_normal((T, m, n)), 2, w[:T], 1.0, x0
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear_feedback", "confidence_mpc", "dac"])
+def test_lq_lanes_bit_equal_to_single_states(name):
+    """Every lane entry point and the surrogate table of a multi-state LQ env
+    equal the single-state methods and per-theta rollouts bit for bit."""
+    env = _random_lq_envs()[name]
+    rng = np.random.default_rng(3)
+    L = 16
+    thetas = np.array([env.theta_set.project(env.theta_set.sample(rng)) for _ in range(L)])
+
+    table = env.batch_surrogate_costs(thetas, env.T)
+    rollouts = np.stack([rollout(env, theta, env.T).costs for theta in thetas], axis=1)
+    assert np.array_equal(table, rollouts)
+
+    for t in (0, 1, 7, env.T - 1):
+        X = rng.standard_normal((L, env.n))
+        U = env.policy_lanes(t, X, thetas)
+        assert np.array_equal(U, np.array([env.policy(t, x, th) for x, th in zip(X, thetas)]))
+        assert np.array_equal(
+            env.dynamics_lanes(t, X, U), np.array([env.dynamics(t, x, u) for x, u in zip(X, U)])
+        )
+        assert np.array_equal(
+            env.cost_lanes(t, X, U), np.array([env.cost(t, x, u) for x, u in zip(X, U)])
+        )
+        jac = env.jacobians_lanes(t, X, thetas)
+        for i in range(L):
+            lane, single = jac.lane(i), env.jacobians(t, X[i], thetas[i])
+            for block in ("dg_dx", "dg_du", "dpi_dx", "dpi_dtheta", "df_dx", "df_du"):
+                assert np.array_equal(getattr(lane, block), getattr(single, block)), block

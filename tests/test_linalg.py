@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from gaps.errors import NonConvergence, SingularMatrix
-from gaps.linalg import finite_horizon_lq, row_matmul, row_norms, solve_dare, solve_linear
+from gaps.linalg import (
+    finite_horizon_lq,
+    quadratic_cost,
+    row_matmul,
+    row_norms,
+    solve_dare,
+    solve_linear,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -190,3 +197,22 @@ class TestRowwise:
         expected = np.array([x @ M.T for x in X])
         assert np.array_equal(row_matmul(X, M), expected)
         assert np.array_equal(row_matmul(X[0], M), X[0] @ M.T)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
+    def test_row_matmul_with_one_matrix_per_lane(self, n, m):
+        rng = np.random.default_rng(n + 7 * m)
+        X = rng.standard_normal((200, n))
+        M = rng.standard_normal((200, m, n))
+        assert np.array_equal(row_matmul(X, M), np.array([x @ k.T for x, k in zip(X, M)]))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (3, 2), (4, 4)])
+    def test_quadratic_cost_matches_single_state_form(self, n, m):
+        rng = np.random.default_rng(5 * n + m)
+        X = rng.standard_normal((300, n))
+        U = rng.standard_normal((300, m))
+        G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        Q, R = G @ G.T, H @ H.T
+        expected = np.array([float(x @ Q @ x + u @ R @ u) for x, u in zip(X, U)])
+        assert np.array_equal(quadratic_cost(X, Q, U, R), expected)
+        single = quadratic_cost(X[0], Q, U[0], R)
+        assert type(single) is float and single == expected[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaps.envs import make_fig2_env, make_pendulum_env
+from gaps.envs import ConfidenceMpcEnv, DacEnv, make_fig2_env, make_pendulum_env
 from gaps.envs.linear_feedback import LinearFeedbackEnv
 from gaps.errors import DimensionMismatch, StateBlowup
 from gaps.metrics import surrogate_table
@@ -144,6 +144,11 @@ class TestLaneEntryPoints:
         for name in ("dynamics", "jacobians"):
             assert env_cls.__dict__.get(f"{name}_lanes") is None
             assert getattr(env_cls, f"{name}_lanes") is getattr(LinearFeedbackEnv, name)
+
+    def test_lq_envs_lanes_are_their_broadcasting_methods(self):
+        for env_cls in (ConfidenceMpcEnv, DacEnv, LinearFeedbackEnv):
+            for name in ("policy", "dynamics", "cost", "jacobians"):
+                assert getattr(env_cls, f"{name}_lanes") is getattr(env_cls, name)
 
     def test_surrogate_table_uses_subclass_step_math(self):
         T = 20
