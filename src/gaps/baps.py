@@ -9,6 +9,7 @@ with no burn-in exclusion.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ class BapsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.k < 2:
             raise ValueError("need at least 2 arms")
         if self.b < 1:

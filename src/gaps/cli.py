@@ -284,6 +284,8 @@ def run_algorithm(config: dict, env):
             eta=params.get("eta", 1e-4),
             seed=derive_seed(config["seed"], "baps:sampling"),
         )
+        if cfg.b > T:
+            raise ConfigError(f"algorithm.params: batch size b={cfg.b} is longer than T={T}")
         result = run_baps(env, arms, cfg, T)
         extras = {
             "arm_history": result.arm_history.tolist(),

@@ -11,11 +11,13 @@ operations, with no loop over lags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGradient
+from .linalg import dot
 from .system import (
     ControlSystem,
     ParameterSet,
@@ -49,6 +51,8 @@ class GapsConfig:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        if isinstance(self.B, bool) or not isinstance(self.B, numbers.Integral):
+            raise TypeError(f"buffer length B must be an integer, got {self.B!r}")
         if self.B < 1:
             raise ValueError("buffer length B must be >= 1")
         if self.theta0.shape != (self.set.dim,):
@@ -103,12 +107,15 @@ def gaps_step(
         )
 
     # Gradient: the lag-0 term acts through the policy directly; every older
-    # lag acts only through the current state. cumsum adds the lags in lag
-    # order, as a one-by-one sum would; a plain sum may reduce pairwise.
-    grad = jac.df_du @ jac.dpi_dtheta
+    # lag acts only through the current state. A running sum (np.cumsum's
+    # ufunc, without its wrapper) adds the lags in lag order, as a
+    # one-by-one sum would; a plain sum may reduce pairwise.
+    grad = dot(jac.df_du, jac.dpi_dtheta)
     if k:
-        grad = grad + jac.dcost_dx_closed() @ np.cumsum(state.ring, axis=0)[-1]
-    if not np.isfinite(grad).all():
+        grad = grad + dot(jac.dcost_dx_closed(), np.add.accumulate(state.ring)[-1])
+    # A finite squared norm means finite entries; the entries are looked at
+    # only when it is not, since it also overflows for large finite ones.
+    if not math.isfinite(grad.dot(grad)) and not np.isfinite(grad).all():
         raise NonFiniteGradient(f"gradient at t={state.t} contains NaN/Inf")
 
     # Ring update: dg_du @ dpi_dtheta becomes lag 1, every kept lag ages by
@@ -122,8 +129,9 @@ def gaps_step(
     else:
         kept = state.ring[: config.B - 2]
         block = np.empty((n, (len(kept) + 1) * d))
-        block[:, :d] = jac.dg_du @ jac.dpi_dtheta
+        block[:, :d] = dot(jac.dg_du, jac.dpi_dtheta)
         if len(kept):
+            # np.dot refuses the non-contiguous out slice; np.matmul takes it.
             kept_block = kept.transpose(1, 0, 2).reshape(n, -1)
             np.matmul(jac.closed_loop(), kept_block, out=block[:, d:])
         ring = block.reshape(n, -1, d).transpose(1, 0, 2)

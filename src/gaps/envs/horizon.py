@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from ..linalg import finite_horizon_lq, solve_dare
+from ..linalg import dot, finite_horizon_lq, quadratic_cost, solve_dare
 from ..system import DEFAULT_BLOWUP_CAP, Box, ControlSystem, StepJacobians, check_state
 
 
@@ -75,19 +75,23 @@ class HorizonSelectionEnv(ControlSystem):
     def arm_thetas(self) -> list[np.ndarray]:
         return [np.array([float(j)]) for j in range(len(self.horizons))]
 
+    # Products go through linalg.dot, which takes ndarray.dot, at about half
+    # the call overhead of `@`, whenever an operand has more than one
+    # element, and `@` for the scalar system.
+
     def _arm(self, theta) -> int:
-        j = int(round(float(np.asarray(theta).reshape(-1)[0])))
+        j = round(theta.tolist()[0])
         return min(max(j, 0), len(self.horizons) - 1)
 
     def policy(self, t, x, theta):
         j = self._arm(theta)
-        return -self._gains[j] @ x - self._ff[t, j]
+        return dot(-self._gains[j], x) - self._ff[t, j]
 
     def dynamics(self, t, x, u):
-        return self.A @ x + self.B @ u + self.w[t]
+        return dot(self.A, x) + dot(self.B, u) + self.w[t]
 
     def cost(self, t, x, u):
-        return float(x @ self.Q @ x + u @ self.R @ u)
+        return quadratic_cost(x, self.Q, u, self.R)
 
     def jacobians(self, t, x, theta):
         j = self._arm(theta)
@@ -98,8 +102,8 @@ class HorizonSelectionEnv(ControlSystem):
             dpi_dx=-self._gains[j],
             # Piecewise-constant in theta: zero derivative away from switches.
             dpi_dtheta=np.zeros((self.m, 1)),
-            df_dx=2.0 * self.Q @ x,
-            df_du=2.0 * self.R @ u,
+            df_dx=dot(2.0 * self.Q, x),
+            df_du=dot(2.0 * self.R, u),
         )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:

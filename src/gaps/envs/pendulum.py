@@ -8,11 +8,12 @@ the step map polynomial-plus-sine, so the Jacobians are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import solve_dare
+from ..linalg import quadratic_cost, solve_dare
 from ..system import Box, ControlSystem, ParameterSet, StepJacobians, Trajectory
 from .disturbances import IidGaussian, OrnsteinUhlenbeck
 
@@ -53,6 +54,8 @@ class PendulumEnv(ControlSystem):
             raise ValueError("disturbance sequence shorter than T")
         if len(self.p.masses) == 0:
             raise ValueError("the mass schedule needs at least one mass")
+        if not all(math.isfinite(mass) and mass > 0 for mass in self.p.masses):
+            raise ValueError(f"masses must be positive and finite, got {list(self.p.masses)}")
         self.T = int(T)
         self.n = 2
         self.m = 1
@@ -66,42 +69,56 @@ class PendulumEnv(ControlSystem):
     def mass_at(self, t: int) -> float:
         return self.p.masses[(t // self._steps_per_mass) % len(self.p.masses)]
 
+    # The per-state methods read entries as Python floats and take products
+    # with ndarray.dot: on 1- and 2-element operands numpy's call overhead,
+    # not the arithmetic, is the cost, and `@` costs about twice `dot`.
+    # Python float and numpy scalar arithmetic round alike, and math.sin and
+    # math.cos return np.sin's and np.cos's bits, so the results are those
+    # of the `@` forms. Quadratic forms stay numpy dot products, which round
+    # differently from a Python sum of products.
+
     def policy(self, t, x, theta):
-        return np.array([-theta[0] * x[0] - theta[1] * x[1]])
+        t0, t1 = theta.tolist()
+        x0, x1 = x.tolist()
+        return np.array([-t0 * x0 - t1 * x1])
 
     def dynamics(self, t, x, u):
         p = self.p
+        x0, x1 = x.tolist()
         mass = self.mass_at(t)
         ml2 = mass * p.length**2
         accel = (
-            (p.gravity / p.length) * np.sin(x[0])
-            - (p.damping / ml2) * x[1]
-            + u[0] / ml2
+            (p.gravity / p.length) * math.sin(x0)
+            - (p.damping / ml2) * x1
+            + u.tolist()[0] / ml2
             + self.w[t]
         )
-        return np.array([x[0] + p.dt * x[1], x[1] + p.dt * accel])
+        return np.array([x0 + p.dt * x1, x1 + p.dt * accel])
 
     def cost(self, t, x, u):
-        return float(x @ self.Q @ x + u @ self.R @ u)
+        return quadratic_cost(x, self.Q, u, self.R)
 
     def jacobians(self, t, x, theta):
         p = self.p
         ml2 = self.mass_at(t) * p.length**2
-        u = self.policy(t, x, theta)
+        t0, t1 = theta.tolist()
+        x0, x1 = x.tolist()
+        u0 = -t0 * x0 - t1 * x1  # the action policy(t, x, theta) plays
         dg_dx = np.array(
             [
                 [1.0, p.dt],
-                [p.dt * (p.gravity / p.length) * np.cos(x[0]), 1.0 - p.dt * p.damping / ml2],
+                [p.dt * (p.gravity / p.length) * math.cos(x0), 1.0 - p.dt * p.damping / ml2],
             ]
         )
         dg_du = np.array([[0.0], [p.dt / ml2]])
         return StepJacobians(
             dg_dx=dg_dx,
             dg_du=dg_du,
-            dpi_dx=np.array([[-theta[0], -theta[1]]]),
-            dpi_dtheta=np.array([[-x[0], -x[1]]]),
-            df_dx=2.0 * self.Q @ x,
-            df_du=2.0 * self.R @ u,
+            dpi_dx=np.array([[-t0, -t1]]),
+            dpi_dtheta=np.array([[-x0, -x1]]),
+            df_dx=(2.0 * self.Q).dot(x),
+            # 2R @ u, which sums the one product onto +0.0.
+            df_du=np.array([0.0 + 2.0 * self.R.item() * u0]),
         )
 
     def linearization(self, mass: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,10 @@
 Matrices here are a few rows/columns at most, so everything is plain numpy
 with deterministic fixed-point iteration rather than structured eigensolvers.
 Linear solves go through `solve_linear`, which runs its own partial-pivot
-elimination only to check the pivots (numpy's solver does not refuse a tiny
-pivot) and then solves with `np.linalg.solve`.
+elimination over Python floats only to check the pivots (numpy's solver does
+not refuse a tiny pivot) and then solves with `np.linalg.solve`. Products
+of a single state, or of the small matrices of one Riccati step, go through
+`dot`, which gives the bits of `@` at about half its call overhead.
 """
 
 from __future__ import annotations
@@ -23,15 +25,38 @@ def solve_linear(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M @ x = rhs, raising SingularMatrix when a partial-pivot LU of M
     meets a pivot of magnitude below PIVOT_TOL."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    U = M.copy()
-    for j in range(U.shape[0]):
-        p = j + int(np.argmax(np.abs(U[j:, j])))
-        if abs(U[p, j]) < PIVOT_TOL:
+    U = M.tolist()
+    for j in range(len(U)):
+        # The pivot np.argmax would pick: the first NaN, else the first
+        # entry of largest magnitude.
+        p, big = j, abs(U[j][j])
+        for i in range(j + 1, len(U)):
+            if big != big:
+                break
+            a = abs(U[i][j])
+            if a > big or a != a:
+                p, big = i, a
+        if big < PIVOT_TOL:
             raise SingularMatrix(f"pivot below {PIVOT_TOL:g} while solving a {M.shape} system")
-        if p != j:
-            U[[j, p]] = U[[p, j]]
-        U[j + 1 :, j:] -= np.outer(U[j + 1 :, j] / U[j, j], U[j, j:])
+        U[j], U[p] = U[p], U[j]
+        pivot = U[j]
+        for row in U[j + 1 :]:
+            f = row[j] / pivot[j]
+            row[j:] = [r - f * q for r, q in zip(row[j:], pivot[j:])]
     return np.linalg.solve(M, rhs)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for single-state operands, at about half the call overhead.
+
+    ndarray.dot gives the bits of `@` on these shapes, with one exception:
+    for two one-element operands it returns the bare product, whose zero
+    keeps its sign, where `@` sums the product onto +0.0. That case takes
+    `@`.
+    """
+    if a.size == 1 and b.size == 1:
+        return a @ b
+    return a.dot(b)
 
 
 def per_step(M, T: int) -> np.ndarray:
@@ -51,7 +76,9 @@ def row_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     last bit. One-column rows have no sum to reorder and take the plain
     product, which is faster.
     """
-    if x.ndim == 1 or (x.shape[-1] == 1 and M.ndim == 2):
+    if x.ndim == 1:
+        return dot(x, M.T)
+    if x.shape[-1] == 1 and M.ndim == 2:
         return x @ M.T
     return (x[..., None, :] @ np.swapaxes(M, -1, -2))[..., 0, :]
 
@@ -70,7 +97,10 @@ def quadratic_cost(x: np.ndarray, Q: np.ndarray, u: np.ndarray, R: np.ndarray):
     """x'Qx + u'Ru: a float for one state, one value per lane for a lane stack,
     each lane summed as a single state is."""
     if x.ndim == 1:
-        return float(x @ Q @ x + u @ R @ u)
+        # ndarray.dot, then + 0.0: `@` never returns -0.0 here, and a -0.0
+        # from the bare product of one-element operands is the only bit in
+        # which ndarray.dot differs from it (see `dot`).
+        return float(x.dot(Q).dot(x) + u.dot(R).dot(u)) + 0.0
     x_row, u_row = x[..., None, :], u[..., None, :]
     return ((x_row @ Q) @ x[..., None] + (u_row @ R) @ u[..., None])[..., 0, 0]
 
@@ -90,9 +120,9 @@ class RiccatiSolution:
 
 
 def _dare_map(A, B, Q, R, P):
-    BtP = B.T @ P
-    K = solve_linear(R + BtP @ B, BtP @ A)
-    return Q + A.T @ P @ (A - B @ K), K
+    BtP = dot(B.T, P)
+    K = solve_linear(R + dot(BtP, B), dot(BtP, A))
+    return Q + dot(dot(A.T, P), A - dot(B, K)), K
 
 
 def solve_dare(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, StateBlowup
+from .linalg import dot
 
 DEFAULT_BLOWUP_CAP = 1e8
 
@@ -78,7 +79,9 @@ class Box(ParameterSet):
         self.dim = self.lo.size
 
     def project(self, theta):
-        return np.clip(self._check_dim(theta), self.lo, self.hi)
+        # np.clip's bits, NaN and signed zeros included, without the
+        # overhead of its Python wrapper.
+        return np.minimum(np.maximum(self._check_dim(theta), self.lo), self.hi)
 
     def sample(self, rng):
         return rng.uniform(self.lo, self.hi)
@@ -129,8 +132,7 @@ class StepJacobians:
     Gradient rows of the scalar cost are stored as 1-D arrays: df_dx has
     shape (n,) and df_du shape (m,). Returned by a lane-axis call, a block
     either carries a leading lane axis or, when it is the same for every
-    lane, keeps its single-state shape; the products below broadcast over
-    both.
+    lane, keeps its single-state shape; closed_loop broadcasts over both.
     """
 
     dg_dx: np.ndarray  # (n, n)
@@ -141,12 +143,18 @@ class StepJacobians:
     df_du: np.ndarray  # (m,)
 
     def closed_loop(self) -> np.ndarray:
-        """d x_{t+1} / d x_t along the closed loop: dg_dx + dg_du @ dpi_dx."""
+        """d x_{t+1} / d x_t along the closed loop: dg_dx + dg_du @ dpi_dx.
+
+        Single-state blocks take linalg.dot, the bits of `@` at less call
+        overhead; a block with a lane axis needs `@` to broadcast."""
+        if self.dg_du.ndim == 2 and self.dpi_dx.ndim == 2:
+            return self.dg_dx + dot(self.dg_du, self.dpi_dx)
         return self.dg_dx + self.dg_du @ self.dpi_dx
 
     def dcost_dx_closed(self) -> np.ndarray:
-        """d c_t / d x_t along the closed loop: df_dx + df_du @ dpi_dx."""
-        return self.df_dx + self.df_du @ self.dpi_dx
+        """d c_t / d x_t along the closed loop at a single state:
+        df_dx + df_du @ dpi_dx."""
+        return self.df_dx + dot(self.df_du, self.dpi_dx)
 
     def lane(self, i: int) -> "StepJacobians":
         """The single-state blocks of lane i; a block shared by every lane

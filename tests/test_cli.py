@@ -110,6 +110,15 @@ class TestRun:
         ["metrics.grid_points=0"],
         ["algorithm.name=ftl", "env.params.k=2"],
         ["env.name=pendulum", 'env.params.disturbance="x"'],
+        ["algorithm.params.B=2.0"],
+        ["algorithm.params.B=1.5"],
+        ["algorithm.params.B=true"],
+        ["env.name=horizon", "algorithm.name=baps", "algorithm.params.b=1.5"],
+        ["env.name=horizon", "algorithm.name=baps", "T=500", "algorithm.params.b=10000"],
+        ["env.name=pendulum", "env.params.masses=[0]"],
+        ["env.name=pendulum", "env.params.masses=[-1.0]"],
+        ["env.name=pendulum", "env.params.masses=[1.0,NaN]"],
+        ["env.name=pendulum", "env.params.masses=[Infinity]"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
