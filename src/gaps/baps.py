@@ -9,13 +9,12 @@ with no burn-in exclusion.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilitySampled
+from .errors import ZeroProbabilitySampled, require_integer
 from .system import ControlSystem, Trajectory, closed_loop
 
 # Above this exponent the multiplicative update switches to log-space.
@@ -32,13 +31,9 @@ class BapsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.k < 2:
+        if require_integer("k", self.k) < 2:
             raise ValueError("need at least 2 arms")
-        if self.b < 1:
+        if require_integer("b", self.b) < 1:
             raise ValueError("batch size must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")

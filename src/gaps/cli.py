@@ -128,7 +128,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         key, _, raw = item.partition("=")
         _set_path(config, key.split("."), _parse_value(raw))
     if "GAPS_SEED" in os.environ:
-        config["seed"] = int(os.environ["GAPS_SEED"])
+        raw = os.environ["GAPS_SEED"]
+        try:
+            config["seed"] = int(raw)
+        except ValueError:
+            raise ConfigError(f"GAPS_SEED must be an integer, got {raw!r}") from None
     validate_config(config)
     return config
 
@@ -176,10 +180,14 @@ def validate_config(config: dict) -> None:
     _check_keys(
         config["algorithm"].get("params", {}), _ALGO_PARAMS[algo_name], "algorithm.params."
     )
-    if not isinstance(config["T"], int) or config["T"] < 1:
-        raise ConfigError("T must be a positive integer")
     grid_points = config.get("metrics", {}).get("grid_points", 101)
-    if not isinstance(grid_points, int) or grid_points < 1:
+    for key, value in (("T", config["T"]), ("seed", config["seed"]),
+                       ("metrics.grid_points", grid_points)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if config["T"] < 1:
+        raise ConfigError("T must be a positive integer")
+    if grid_points < 1:
         raise ConfigError("metrics.grid_points must be a positive integer")
 
 

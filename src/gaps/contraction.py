@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence
+from .errors import Divergence, require_integer
 from .linalg import row_norms
-from .system import ControlSystem, ParameterSet
+from .system import Ball, ControlSystem, ParameterSet
 
 DIVERGENCE_FACTOR = 1e6
 _CONVERGED_FLOOR = 1e-14
@@ -142,7 +142,7 @@ def _observed_state_sup(system, pset, eps, horizon, rng) -> float:
 
 
 def _check_horizon(system: ControlSystem, horizon: int, least: int) -> None:
-    if horizon < least:
+    if require_integer("horizon", horizon) < least:
         raise ValueError(f"horizon must be at least {least}")
     if horizon > system.T:
         raise ValueError(f"horizon {horizon} exceeds the system's T = {system.T}")
@@ -229,16 +229,17 @@ def estimate_contraction(
         R_C_probe = 2.0 * max(_observed_state_sup(system, pset, eps, horizon, rng), 1e-6)
 
     t0_max = max(0, system.T - horizon)
-    runs = min(pairs, 50)
+    runs = min(require_integer("pairs", pairs), 50)
     # One lockstep pass: row p rolls x and row pairs + p rolls x_prime of
     # pair p, under one start time and sequence; the last `runs` rows are
     # the zero-state runs of the stability radius.
     X0 = np.zeros((2 * pairs + runs, system.n))
     seqs = np.empty((2 * pairs + runs, horizon, pset.dim))
     starts = []
+    probe = Ball(np.zeros(system.n), R_C_probe)
     for p in range(pairs):
-        X0[p] = _sample_ball(system.n, R_C_probe, rng)
-        X0[pairs + p] = _sample_ball(system.n, R_C_probe, rng)
+        X0[p] = probe.sample(rng)
+        X0[pairs + p] = probe.sample(rng)
         starts.append(int(rng.integers(0, t0_max + 1)))
         seqs[p] = seqs[pairs + p] = sample_slow_sequence(pset, eps, horizon, rng)
     zero_starts = _draw_zero_state_runs(system, pset, eps, horizon, rng, seqs[2 * pairs :])
@@ -292,11 +293,3 @@ def estimate_contraction(
         samples=pairs,
         auto_probe=auto_probe,
     )
-
-
-def _sample_ball(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    direction = rng.standard_normal(n)
-    norm = np.linalg.norm(direction)
-    if norm > 0:
-        direction /= norm
-    return direction * (radius * rng.uniform() ** (1.0 / n))

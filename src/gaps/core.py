@@ -11,12 +11,11 @@ operations, with no loop over lags.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient
+from .errors import DimensionMismatch, NonFiniteGradient, require_integer
 from .linalg import dot
 from .system import (
     ControlSystem,
@@ -51,9 +50,7 @@ class GapsConfig:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
-        if isinstance(self.B, bool) or not isinstance(self.B, numbers.Integral):
-            raise TypeError(f"buffer length B must be an integer, got {self.B!r}")
-        if self.B < 1:
+        if require_integer("buffer length B", self.B) < 1:
             raise ValueError("buffer length B must be >= 1")
         if self.theta0.shape != (self.set.dim,):
             raise DimensionMismatch(

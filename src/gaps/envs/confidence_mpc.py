@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import require_integer
 from ..linalg import finite_horizon_lq, row_matmul, solve_dare
 from ..system import Box, ControlSystem
-from .disturbances import IidGaussian, PiecewiseNoiseSchedule
+from .disturbances import PiecewiseNoiseSchedule, predicted_disturbances
 from .linear_quadratic import LinearQuadraticEnv
 
 
@@ -37,7 +38,7 @@ class ConfidenceMpcEnv(LinearQuadraticEnv):
         x0=None,
     ):
         self.w_pred = np.asarray(predictions, dtype=float)
-        self.k = int(k)
+        self.k = require_integer("k", k)
         if self.k < 1:
             raise ValueError(f"planning horizon k must be at least 1, got {self.k}")
         self.T = self.w_pred.shape[0]
@@ -99,12 +100,9 @@ def _scalar_env(T, seed, k, a, b, sigma_w, pred_sigmas) -> ConfidenceMpcEnv:
     solution as terminal planner cost. At step t, the prediction of each
     w_{t+i} carries Gaussian noise of scale pred_sigmas[t]."""
     A, B, q = np.array([[a]]), np.array([[b]]), np.array([[1.0]])
-    rng = np.random.default_rng(seed)
-    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
-    noise = rng.standard_normal((T, k, 1)) * pred_sigmas[:, None, None]
-    windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
+    w, predictions = predicted_disturbances(T, k, seed, sigma_w, pred_sigmas[:, None, None])
     qf = solve_dare(A, B, q, q).P
-    return ConfidenceMpcEnv(A, B, q, q, qf, k, w, windows[:, :, None] + noise)
+    return ConfidenceMpcEnv(A, B, q, q, qf, k, w, predictions)
 
 
 def make_fig2_env(

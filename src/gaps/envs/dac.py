@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import require_integer
 from ..linalg import per_step, row_matmul, solve_dare
 from ..system import Ball
 from .linear_quadratic import LinearQuadraticEnv
@@ -31,7 +32,7 @@ class DacEnv(LinearQuadraticEnv):
         super().__init__(A, B, Q, R, disturbances, x0)
         self.T = self.w.shape[0]
         self.K_stb = per_step(K_stb, self.T)
-        self.h = int(history)
+        self.h = require_integer("history", history)
         self.d = self.h * self.m * self.n
         self.theta_set = Ball(np.zeros(self.d), radius)
         # h zero rows followed by w, with w a view into it, so that edits to
@@ -80,7 +81,7 @@ def make_dac_env(
     The A_t sequence oscillates around a marginally unstable mean to keep
     the problem genuinely time-varying.
     """
-    if n < 1:
+    if require_integer("n", n) < 1:
         raise ValueError(f"state dimension n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     # Controllable companion form, slightly unstable, slowly oscillating.

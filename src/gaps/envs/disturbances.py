@@ -19,6 +19,19 @@ class IidGaussian:
         return self.sigma * rng.standard_normal((T, dim))
 
 
+def predicted_disturbances(
+    T: int, k: int, seed: int, sigma_w: float, pred_sigma
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar disturbances w (T + k, 1), i.i.d. Gaussian of scale sigma_w,
+    and predictions (T, k, 1): entry [t, i] is w_{t+i} plus Gaussian noise
+    scaled by pred_sigma, which broadcasts against (T, k, 1)."""
+    rng = np.random.default_rng(seed)
+    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
+    noise = rng.standard_normal((T, k, 1)) * pred_sigma
+    windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
+    return w, windows[:, :, None] + noise
+
+
 @dataclass
 class OrnsteinUhlenbeck:
     """Mean-reverting random walk, Euler-Maruyama discretized.

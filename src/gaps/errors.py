@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that an integer
+setting is one."""
+
+import numbers
+
+
+def require_integer(name: str, value):
+    """Return value if it is an integer (a bool is not), else raise
+    TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class GapsError(Exception):

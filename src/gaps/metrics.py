@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, NonPositiveRegret
+from .linalg import row_norms
 from .oracles import surrogates
-from .system import Ball, Box, ControlSystem, ParameterSet, WholeSpace, rollout
+from .system import Ball, Box, ControlSystem, ParameterSet, WholeSpace, check_state, rollout
 
 _SOBOL_BITS = 30
 
@@ -253,13 +254,10 @@ def variation_intensity(
 
     if state_radius is None or action_radius is None:
         theta = system.theta_set.project(system.theta_set.sample(rng))
-        x = np.array(system.x0, dtype=float)
-        sup_x, sup_u = np.linalg.norm(x), 0.0
-        for t in range(min(T, 200)):
-            u = system.policy(t, x, theta)
-            x = system.dynamics(t, x, u)
-            sup_x = max(sup_x, float(np.linalg.norm(x)))
-            sup_u = max(sup_u, float(np.linalg.norm(u)))
+        probe = rollout(system, theta, T=min(T, 200))
+        check_state(len(probe), probe.final_state)
+        sup_x = float(np.max(row_norms(np.vstack([probe.states, probe.final_state]))))
+        sup_u = float(np.max(row_norms(probe.actions), initial=0.0))
         if state_radius is None:
             state_radius = 2.0 * max(sup_x, 1e-6)
         if action_radius is None:

@@ -219,7 +219,7 @@ def test_ac7_bandit_horizon_selection_regret_and_concentration():
             envs = [make_horizon_selection_env(horizons, T, seed=10_000 + s) for s in chunk]
             totals, dists = run_baps_scalar_batch(envs, cfg, [20_000 + s for s in chunk])
             for i, env in enumerate(envs):
-                arm_costs = env.arm_total_costs()
+                arm_costs = surrogate_table(env, np.stack(env.arm_thetas()), T).sum(axis=0)
                 regrets.append(totals[i] - arm_costs.min())
                 if T == 80_000:
                     best_mass.append(dists[i, int(np.argmin(arm_costs))])

@@ -234,7 +234,7 @@ class TestVectorizedBatch:
 
         env = make_horizon_selection_env([1, 2, 3], 200, seed=0)
         doubled = DoubledCost(
-            env.A, env.B, env.Q, env.R, env.Qf, env.horizons, env.w, env.w_pred
+            env.A[0], env.B[0], env.Q[0], env.R[0], env.Qf, env.horizons, env.w, env.w_pred
         )
         with pytest.raises(ValueError, match="step math"):
             run_baps_scalar_batch([env, doubled], BapsConfig(k=3, b=25, eta=1e-3), [0, 1])

@@ -119,6 +119,14 @@ class TestRun:
         ["env.name=pendulum", "env.params.masses=[-1.0]"],
         ["env.name=pendulum", "env.params.masses=[1.0,NaN]"],
         ["env.name=pendulum", "env.params.masses=[Infinity]"],
+        ["seed=1.5"],
+        ['seed="3"'],
+        ["metrics.grid_points=true"],
+        ["T=true"],
+        ["env.name=horizon", "env.params.horizons=[1.5,2]"],
+        ["env.name=dac", "env.params.history=1.5"],
+        ["env.params.k=true"],
+        ["env.name=dac", "env.params.n=true"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -129,8 +137,32 @@ class TestRun:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed, overrides, key", [
+        ("abc", [], "GAPS_SEED"),
+        ("1.5", [], "GAPS_SEED"),
+        (None, ["seed=1.5"], "seed"),
+        (None, ['seed="3"'], "seed"),
+        (None, ["metrics.grid_points=true"], "metrics.grid_points"),
+        (None, ["T=true"], "T"),
+        (None, ["env.name=horizon", "env.params.horizons=[1.5,2]"], "horizons"),
+        (None, ["env.name=dac", "env.params.history=1.5"], "history"),
+    ])
+    def test_non_integer_settings_name_their_key(
+        self, tmp_path, capsys, monkeypatch, seed, overrides, key
+    ):
+        if seed is not None:
+            monkeypatch.setenv("GAPS_SEED", seed)
+        argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} must be an integer" in err
+        assert not (tmp_path / "bad" / "report.json").exists()
+
     @pytest.mark.parametrize(
-        "override", ["contraction.horizon=1", "contraction.pairs=0", "T=20"]
+        "override",
+        ["contraction.horizon=1", "contraction.pairs=0", "T=20", "contraction.pairs=true"],
     )
     def test_bad_contraction_settings_are_config_errors(self, tmp_path, capsys, override):
         argv = ["contraction", "--out", str(tmp_path / "bad"), "--override", override]

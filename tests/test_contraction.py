@@ -7,7 +7,6 @@ from gaps.contraction import (
     DIVERGENCE_FACTOR,
     ContractionEstimate,
     _lockstep_states,
-    _sample_ball,
     estimate_contraction,
     estimate_stability_radius,
     sample_slow_sequence,
@@ -88,8 +87,8 @@ def reference_estimate(system, pset, eps, R_C_probe=None, pairs=100, horizon=30,
     log_ratios = []
     curves = []
     for _ in range(pairs):
-        x = _sample_ball(system.n, R_C_probe, rng)
-        x_prime = _sample_ball(system.n, R_C_probe, rng)
+        x = Ball(np.zeros(system.n), R_C_probe).sample(rng)
+        x_prime = Ball(np.zeros(system.n), R_C_probe).sample(rng)
         t0 = int(rng.integers(0, t0_max + 1))
         theta_seq = sample_slow_sequence(pset, eps, horizon, rng)
         norms = reference_decay_curve(system, x, x_prime, theta_seq, t0, horizon)
@@ -226,8 +225,8 @@ class TestEstimateContraction:
         )
         rng = np.random.default_rng(7)
         for _ in range(50):
-            x = _sample_ball(env.n, est.R_C_probe, rng)
-            x2 = _sample_ball(env.n, est.R_C_probe, rng)
+            x = Ball(np.zeros(env.n), est.R_C_probe).sample(rng)
+            x2 = Ball(np.zeros(env.n), est.R_C_probe).sample(rng)
             t0 = int(rng.integers(0, max(0, env.T - 25) + 1))
             seq = sample_slow_sequence(env.theta_set, 0.1, 25, rng)
             norms = reference_decay_curve(env, x, x2, seq, t0, 25)
@@ -410,8 +409,8 @@ class TestLockstepMatchesPerPair:
         rng = np.random.default_rng(0)
         failing = []
         for _ in range(20):
-            x = _sample_ball(env.n, 1.0, rng)
-            x2 = _sample_ball(env.n, 1.0, rng)
+            x = Ball(np.zeros(env.n), 1.0).sample(rng)
+            x2 = Ball(np.zeros(env.n), 1.0).sample(rng)
             t0 = int(rng.integers(0, env.T - 30 + 1))
             seq = sample_slow_sequence(env.theta_set, 0.0, 30, rng)
             norms = reference_decay_curve(env, x, x2, seq, t0, 30)

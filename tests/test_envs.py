@@ -205,78 +205,29 @@ class TestDac:
             assert rep.passed, rep.errors
 
 
+def arm_totals(env, T=None):
+    """Total cost of holding each arm for T steps (default env.T): the
+    column sums of the regret table over the arms."""
+    T = env.T if T is None else T
+    return surrogate_table(env, np.stack(env.arm_thetas()), T).sum(axis=0)
+
+
 class TestHorizonSelection:
     def test_perfect_predictions_favor_long_horizon(self):
         env = make_horizon_selection_env([1, 2, 4], 4000, seed=0, sigma_pred0=0.0)
-        totals = env.arm_total_costs()
+        totals = arm_totals(env)
         assert np.argmin(totals) == 2
         assert totals[0] > totals[1] > totals[2]
 
     def test_corrupted_long_range_predictions_favor_short(self):
         env = make_horizon_selection_env([1, 2, 4], 4000, seed=0,
                                          sigma_pred0=2.0, pred_growth=6.0)
-        totals = env.arm_total_costs()
+        totals = arm_totals(env)
         assert np.argmin(totals) == 0
 
     def test_default_noise_makes_middle_horizon_best(self):
         env = make_horizon_selection_env([1, 2, 3], 8000, seed=1)
-        assert np.argmin(env.arm_total_costs()) == 1
-
-    def test_fast_arm_costs_match_batch_rollout(self):
-        env = make_horizon_selection_env([1, 2, 3], 1500, seed=2)
-        fast = env.arm_total_costs()
-        slow = np.sum(env.batch_surrogate_costs(np.stack(env.arm_thetas()), 1500), axis=0)
-        assert np.allclose(fast, slow, rtol=1e-9)
-
-    @staticmethod
-    def arm_totals_from_states(env, T, arm_states):
-        """Totals from each arm's state sequence, with arm_total_costs' sum."""
-        q, r = env.Q[0, 0], env.R[0, 0]
-        totals = []
-        for j in range(len(env.horizons)):
-            x = arm_states(j)
-            u = -env._gains[j][0, 0] * x - env._ff[:T, j, 0]
-            totals.append(float(np.sum(q * x * x + r * u * u)))
-        return np.array(totals)
-
-    @staticmethod
-    def arm_closed_loop(env, j):
-        """(a - bK, drive) of arm j: x_{t+1} = drive_t + (a - bK) x_t."""
-        T = env._ff.shape[0]
-        c = env.A[0, 0] - env.B[0, 0] * env._gains[j][0, 0]
-        drive = env.w[:T, 0] - env.B[0, 0] * env._ff[:, j, 0]
-        return c, drive
-
-    @pytest.mark.parametrize("x0", [None, [0.7]])
-    def test_arm_costs_bit_equal_to_step_loop(self, x0):
-        T = 3000
-        env = make_horizon_selection_env([1, 2, 3], T, seed=4, x0=x0)
-
-        def step_loop(j):
-            c, drive = self.arm_closed_loop(env, j)
-            x = np.empty(T)
-            x[0] = env.x0[0]
-            for t in range(T - 1):
-                x[t + 1] = drive[t] + c * x[t]
-            return x
-
-        expected = self.arm_totals_from_states(env, T, step_loop)
-        assert np.array_equal(env.arm_total_costs(), expected)
-
-    @pytest.mark.parametrize("x0", [None, [0.7]])
-    def test_arm_costs_bit_equal_to_lfilter(self, x0):
-        signal = pytest.importorskip("scipy.signal")
-        T = 3000
-        env = make_horizon_selection_env([1, 2, 3], T, seed=5, x0=x0)
-
-        def filtered(j):
-            c, drive = self.arm_closed_loop(env, j)
-            x0 = env.x0[0]
-            y, _ = signal.lfilter([1.0], [1.0, -c], drive[: T - 1], zi=[c * x0])
-            return np.concatenate([[x0], y])
-
-        expected = self.arm_totals_from_states(env, T, filtered)
-        assert np.array_equal(env.arm_total_costs(), expected)
+        assert np.argmin(arm_totals(env)) == 1
 
     @staticmethod
     def einsum_reference_table(env, thetas, T):
@@ -290,8 +241,8 @@ class TestHorizonSelection:
         for t in range(T):
             check_state(t, X)
             U = -np.einsum("gij,gj->gi", gains, X) - ff[t]
-            out[t] = quadratic_cost(X, env.Q, U, env.R)
-            X = X @ env.A.T + U @ env.B.T + env.w[t]
+            out[t] = quadratic_cost(X, env.Q[t], U, env.R[t])
+            X = X @ env.A[t].T + U @ env.B[t].T + env.w[t]
         return out
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -339,7 +290,33 @@ class TestHorizonSelection:
         ref = np.stack([rollout(env, theta, T=T).costs for theta in arms], axis=1)
         assert np.allclose(table, ref, rtol=1e-12, atol=0.0)
         totals = [rollout(env, theta, T=T).total_cost for theta in arms]
-        assert np.allclose(env.arm_total_costs(), totals, rtol=1e-12, atol=0.0)
+        assert np.allclose(arm_totals(env), totals, rtol=1e-12, atol=0.0)
+
+    def test_lane_dynamics_and_cost_bit_equal_to_single_states(self):
+        rng = np.random.default_rng(9)
+        A = np.array([[1.1, 0.3], [-0.2, 0.9]])
+        B = np.array([[0.4], [1.0]])
+        Q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        w = rng.standard_normal((30, 2))
+        two_state = HorizonSelectionEnv(A, B, Q, [[0.7]], Q, [1, 2], w,
+                                        w[np.arange(28)[:, None] + np.arange(2)])
+        for env in (make_horizon_selection_env([1, 2, 3], 40, seed=2), two_state):
+            for t in (0, 5, env.T - 1):
+                X = rng.standard_normal((7, env.n))
+                U = rng.standard_normal((7, env.m))
+                assert np.array_equal(
+                    env.dynamics_lanes(t, X, U),
+                    np.array([env.dynamics(t, x, u) for x, u in zip(X, U)]),
+                )
+                assert np.array_equal(
+                    env.cost_lanes(t, X, U), np.array([env.cost(t, x, u) for x, u in zip(X, U)])
+                )
+
+    def test_refuses_per_step_matrices(self):
+        base = make_horizon_selection_env([1, 2], 20, seed=0)
+        with pytest.raises(ValueError, match="one A, B, Q and R"):
+            HorizonSelectionEnv(base.A, base.B[0], base.Q[0], base.R[0], base.Qf,
+                                base.horizons, base.w, base.w_pred)
 
     class DoubledCost(HorizonSelectionEnv):
         """Redefines the stage cost, so the scalar fast paths must not run."""
@@ -349,14 +326,12 @@ class TestHorizonSelection:
 
     def test_subclass_step_math_reaches_table_and_arm_totals(self):
         base = make_horizon_selection_env([1, 2], 50, seed=0)
-        env = self.DoubledCost(base.A, base.B, base.Q, base.R, base.Qf, base.horizons,
-                               base.w, base.w_pred)
+        env = self.DoubledCost(base.A[0], base.B[0], base.Q[0], base.R[0], base.Qf,
+                               base.horizons, base.w, base.w_pred)
         arms = np.stack(env.arm_thetas())
         totals = [rollout(env, theta, T=50).total_cost for theta in arms]
-        assert np.allclose(totals, 2.0 * base.arm_total_costs(), rtol=1e-12, atol=0.0)
-        table = surrogate_table(env, arms, 50)
-        assert np.allclose(table.sum(axis=0), totals, rtol=1e-12, atol=0.0)
-        assert np.allclose(env.arm_total_costs(50), totals, rtol=1e-12, atol=0.0)
+        assert np.allclose(totals, 2.0 * arm_totals(base), rtol=1e-12, atol=0.0)
+        assert np.allclose(arm_totals(env, 50), totals, rtol=1e-12, atol=0.0)
 
     def test_jacobians_at_arm_centers(self):
         env = make_horizon_selection_env([1, 2, 3], 200, seed=3)

@@ -23,13 +23,13 @@ PROBE = """
 import json, sys
 import numpy as np
 import gaps, gaps.cli
-from gaps.metrics import make_theta_grid
+from gaps.metrics import make_theta_grid, surrogate_table
 from gaps.system import Box
 
 for path in json.loads(sys.argv[1]):
     env = gaps.cli.build_env(gaps.cli.load_config(path, []))
-    if hasattr(env, "arm_total_costs"):
-        env.arm_total_costs(50)
+    if env.arm_thetas() is not None:
+        surrogate_table(env, np.stack(env.arm_thetas()), 50)
 make_theta_grid(Box(np.zeros(4), np.ones(4)))
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """

@@ -389,6 +389,17 @@ class TestVariationIntensity:
         assert v_100 == pytest.approx(v_60, rel=1e-12)
         assert v_150 == pytest.approx(2.0 * v_100, rel=1e-9)
 
+    @pytest.mark.parametrize("env_name", ["fig2", "pendulum"])
+    def test_nan_state_in_radius_probe_raises(self, env_name):
+        if env_name == "fig2":
+            env = make_fig2_env(T=50, seed=0)
+        else:
+            env = make_pendulum_env(50, IidGaussian(1.0), seed=0)
+        env.w[5] = np.nan
+        with pytest.raises(StateBlowup) as info:
+            variation_intensity(env, T=20, sample_count=10, rng=0)
+        assert info.value.t == 6
+
     def test_linear_drift_within_ten_percent(self):
         # A_t changes by delta each step; sup over the ball of radius R is
         # delta * R for scalar dynamics.

@@ -88,19 +88,23 @@ def ref_horizon_policy(env, t, x, theta):
 
 
 def ref_horizon_dynamics(env, t, x, u):
-    return env.A @ x + env.B @ u + env.w[t]
+    return env.A[t] @ x + env.B[t] @ u + env.w[t]
+
+
+def ref_horizon_cost(env, t, x, u):
+    return float(x @ env.Q[t] @ x + u @ env.R[t] @ u)
 
 
 def ref_horizon_jacobians(env, t, x, theta):
     j = ref_arm(env, theta)
     u = ref_horizon_policy(env, t, x, theta)
     return StepJacobians(
-        dg_dx=env.A,
-        dg_du=env.B,
+        dg_dx=env.A[t],
+        dg_du=env.B[t],
         dpi_dx=-env._gains[j],
         dpi_dtheta=np.zeros((env.m, 1)),
-        df_dx=2.0 * env.Q @ x,
-        df_du=2.0 * env.R @ u,
+        df_dx=2.0 * env.Q[t] @ x,
+        df_du=2.0 * env.R[t] @ u,
     )
 
 
@@ -227,7 +231,7 @@ class TestHorizon:
                     u = env.policy(t, x, theta)
                     assert same(u, ref_horizon_policy(env, t, x, theta))
                     assert same(env.dynamics(t, x, u), ref_horizon_dynamics(env, t, x, u))
-                    assert same(env.cost(t, x, u), ref_cost(env, t, x, u))
+                    assert same(env.cost(t, x, u), ref_horizon_cost(env, t, x, u))
                     assert_same_jacobians(
                         env.jacobians(t, x, theta), ref_horizon_jacobians(env, t, x, theta)
                     )
