@@ -7,7 +7,7 @@ environments.
 """
 
 from . import envs
-from .baps import BapsConfig, BapsResult, BapsState, baps_update, run_baps
+from .baps import BapsConfig, BapsResult, baps_update, run_baps
 from .contraction import (
     ContractionEstimate,
     estimate_contraction,

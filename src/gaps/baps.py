@@ -75,18 +75,6 @@ class BapsConfig:
         return cls(k=k, b=b, eta=eta, seed=seed)
 
 
-@dataclass
-class BapsState:
-    """Probability vector over arms and the batch index."""
-
-    s: np.ndarray
-    m: int
-
-    @classmethod
-    def initial(cls, k: int) -> "BapsState":
-        return cls(s=np.full(k, 1.0 / k), m=0)
-
-
 def min_batch_length(C: float, rho: float, R_S: float, R_C: float, x0_norm: float) -> float:
     """Smallest batch size for which the batched trajectory provably stays
     bounded: log(C R0 / (R0 - R_S)) / log(1/rho) with
@@ -133,35 +121,38 @@ class BapsResult:
 
 
 class _BapsSelector:
-    """Samples an arm at each batch start and holds it for b steps; the
-    summed batch cost drives baps_update at each batch end."""
+    """Samples an arm from the distribution s at the start of batch m and
+    holds it for b steps; end_batch updates s with the summed batch cost."""
 
     def __init__(self, arms: list[np.ndarray], config: BapsConfig, num_batches: int):
         self.arms = arms
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.state = BapsState.initial(config.k)
+        self.s = np.full(config.k, 1.0 / config.k)
+        self.m = 0
         self.arm_history = np.empty(num_batches, dtype=int)
         self.dist_history = np.empty((num_batches + 1, config.k))
         self.batch_costs = np.empty(num_batches)
 
     def propose(self, t, x):
         if t % self.config.b == 0:
-            m = self.state.m
-            self.dist_history[m] = self.state.s
-            self.arm = int(self.rng.choice(self.config.k, p=self.state.s))
-            self.arm_history[m] = self.arm
+            self.dist_history[self.m] = self.s
+            self.arm = int(self.rng.choice(self.config.k, p=self.s))
+            self.arm_history[self.m] = self.arm
             self.batch_cost = 0.0
         return self.arms[self.arm]
 
     def observe(self, t, x, u, cost):
         self.batch_cost += cost
         if (t + 1) % self.config.b == 0:
-            m = self.state.m
-            self.batch_costs[m] = self.batch_cost
-            s = baps_update(self.state.s, self.arm, self.batch_cost, self.config.eta)
-            self.state = BapsState(s=s, m=m + 1)
+            self.end_batch(self.batch_cost)
         return None
+
+    def end_batch(self, batch_cost: float) -> None:
+        """Record the cost of the batch just played and update s with it."""
+        self.batch_costs[self.m] = batch_cost
+        self.s = baps_update(self.s, self.arm, batch_cost, self.config.eta)
+        self.m += 1
 
 
 def run_baps(
@@ -192,7 +183,7 @@ def run_baps(
 
     selector = _BapsSelector(arms, config, num_batches)
     traj = closed_loop(system, selector, num_batches * config.b)
-    selector.dist_history[num_batches] = selector.state.s
+    selector.dist_history[num_batches] = selector.s
     return BapsResult(
         trajectory=traj,
         arm_history=selector.arm_history,

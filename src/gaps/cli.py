@@ -440,6 +440,8 @@ def cmd_sweep(args) -> int:
         validate_config(sub_config)
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}={value}")
         tasks.append((sub_config, sub_dir, args.metric))
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

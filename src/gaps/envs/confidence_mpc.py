@@ -124,6 +124,8 @@ def make_fig2_env(
     the factor-100 drop); they are sized so that learning rates around 1e-3
     sit in the linear-bias regime of the gradient recursion.
     """
+    if require_integer("switch_time", switch_time) < 0:
+        raise ValueError(f"switch_time must be >= 0, got {switch_time}")
     schedule = PiecewiseNoiseSchedule(
         [(0, switch_time + 1, sigma_pred_before), (switch_time + 1, T, sigma_pred_after)]
     )

@@ -13,6 +13,7 @@ import numpy as np
 from ..errors import require_integer
 from ..linalg import per_step, row_matmul, solve_dare
 from ..system import Ball
+from .disturbances import require_scale
 from .linear_quadratic import LinearQuadraticEnv
 
 
@@ -83,6 +84,7 @@ def make_dac_env(
     """
     if require_integer("n", n) < 1:
         raise ValueError(f"state dimension n must be at least 1, got {n}")
+    require_scale("w_bound", w_bound)
     rng = np.random.default_rng(seed)
     # Controllable companion form, slightly unstable, slowly oscillating.
     base = np.eye(n, k=1)

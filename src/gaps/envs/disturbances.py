@@ -11,9 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def require_scale(name: str, value):
+    """Return value if every entry is finite and >= 0, else raise ValueError."""
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v).all() and (v >= 0).all()):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return value
+
+
 @dataclass
 class IidGaussian:
     sigma: float
+
+    def __post_init__(self):
+        require_scale("sigma", self.sigma)
 
     def draw(self, T: int, dim: int, rng: np.random.Generator) -> np.ndarray:
         return self.sigma * rng.standard_normal((T, dim))
@@ -27,7 +38,7 @@ def predicted_disturbances(
     scaled by pred_sigma, which broadcasts against (T, k, 1)."""
     rng = np.random.default_rng(seed)
     w = IidGaussian(sigma_w).draw(T + k, 1, rng)
-    noise = rng.standard_normal((T, k, 1)) * pred_sigma
+    noise = rng.standard_normal((T, k, 1)) * require_scale("prediction noise scale", pred_sigma)
     windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
     return w, windows[:, :, None] + noise
 
@@ -49,6 +60,7 @@ class OrnsteinUhlenbeck:
         a = self.mean_reversion * self.dt
         if not 0.0 < a < 2.0:
             raise ValueError("need 0 < mean_reversion * dt < 2 for a stationary walk")
+        require_scale("sigma", self.sigma)
 
     def draw(self, T: int, dim: int, rng: np.random.Generator) -> np.ndarray:
         decay = 1.0 - self.mean_reversion * self.dt

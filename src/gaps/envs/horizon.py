@@ -11,9 +11,11 @@ and is constant in theta elsewhere.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
+from ..baps import _BapsSelector
 from ..errors import require_integer
 from ..linalg import dot, finite_horizon_lq, solve_dare
 from ..system import DEFAULT_BLOWUP_CAP, Box, check_state
@@ -84,48 +86,52 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
 
     def _scalar_step_math(self) -> bool:
         """A scalar system whose policy, dynamics and cost are this class's
-        own: the case the scalar table and run_baps_scalar_batch run inline."""
+        own: the case `_hold` and `_checked_costs` compute inline."""
         cls = type(self)
         return self.n == self.m == 1 and all(
             getattr(cls, name) is getattr(HorizonSelectionEnv, name)
             for name in ("policy", "dynamics", "cost")
         )
 
+    def _hold(self, j: int, x: float, t0: int, steps: int):
+        """Iterator over the states x_t0 .. x_{t0+steps}, as Python floats,
+        of arm j held from state x at step t0 on a scalar system, in the
+        per-state methods' order: u = -(K x) - ff_t, x' = (a x + b u) + w_t."""
+        K, a, b = float(self._gains[j][0, 0]), float(self.A[0, 0, 0]), float(self.B[0, 0, 0])
+        # Memoryviews yield Python floats without building lists.
+        span = slice(t0, t0 + steps)
+        fw = zip(memoryview(self._ff[span, j, 0]), memoryview(self.w[span, 0]))
+        return itertools.accumulate(
+            fw, lambda x, fw: (x * a + (-(K * x) - fw[0]) * b) + fw[1], initial=x
+        )
+
+    def _checked_costs(self, arms: list[int], X: np.ndarray, t0: int) -> np.ndarray:
+        """Stage costs (q x) x + (r u) u of the (steps, L) states X, column i
+        holding arms[i] from step t0. The first state past DEFAULT_BLOWUP_CAP,
+        or not finite, raises check_state's StateBlowup at its step; the
+        check spans all columns, so the earliest step over them raises."""
+        if not (np.abs(X) <= DEFAULT_BLOWUP_CAP).all():
+            t = int(np.argmin((np.abs(X) <= DEFAULT_BLOWUP_CAP).all(axis=1)))
+            check_state(t0 + t, X[t, :, None])
+        gains = np.array([self._gains[j][0, 0] for j in arms])
+        U = -(gains * X) - self._ff[t0 : t0 + len(X), arms, 0]
+        q, r = float(self.Q[0, 0, 0]), float(self.R[0, 0, 0])
+        return (X * q) * X + (U * r) * U
+
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         """(T, L) surrogate costs, as ControlSystem.batch_surrogate_costs.
 
-        A scalar system with this class's own step math runs each lane's
-        closed loop over Python floats, with the lane's arm looked up once,
-        in the order of the per-state methods:
-        u = -(K x) - ff_t, x' = (a x + b u) + w_t, cost (q x) x + (r u) u.
-        The first state past DEFAULT_BLOWUP_CAP, or not finite, raises the
-        StateBlowup the shared loop would raise at that step. Every other
-        case runs the shared loop.
+        A scalar system with this class's own step math runs each lane as
+        one `_hold` from x0 and costs and checks all lanes together, raising
+        the StateBlowup the shared loop would raise. Every other case runs
+        the shared loop.
         """
         if not self._scalar_step_math():
             return super().batch_surrogate_costs(thetas, T)
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        arms = [self._arm(th) for th in thetas]
-        gains = [float(self._gains[j][0, 0]) for j in arms]
-        a, b, q, r = (float(M[0, 0, 0]) for M in (self.A, self.B, self.Q, self.R))
+        arms = [self._arm(th) for th in np.atleast_2d(np.asarray(thetas, dtype=float))]
         x0 = float(self.x0[0])
-        # Memoryviews yield Python floats without building lists.
-        w = memoryview(self.w[:T, 0])
-        X = np.empty((T, len(arms)))
-        for g, (j, K) in enumerate(zip(arms, gains)):
-            steps = zip(memoryview(self._ff[:T, j, 0]), w)
-            states = itertools.accumulate(
-                steps, lambda x, fw: (x * a + (-(K * x) - fw[0]) * b) + fw[1], initial=x0
-            )
-            X[:, g] = np.fromiter(states, dtype=float, count=T)
-
-        within = (np.abs(X) <= DEFAULT_BLOWUP_CAP).all(axis=1)
-        if not within.all():
-            t = int(np.argmin(within))
-            check_state(t, X[t, :, None])
-
-        U = -(np.array(gains) * X) - self._ff[:T, arms, 0]
-        return (X * q) * X + (U * r) * U
+        X = np.stack([np.fromiter(self._hold(j, x0, 0, T), float, T) for j in arms], axis=1)
+        return self._checked_costs(arms, X, 0)
 
 
 def make_horizon_selection_env(
@@ -154,59 +160,39 @@ def make_horizon_selection_env(
 
 
 def run_baps_scalar_batch(envs, config, seeds):
-    """Vectorized batched-bandit runs across many scalar environments.
+    """Batched-bandit runs on many scalar environments, one after another.
 
-    Replicates the per-environment run: same per-seed sampling stream and
-    same per-batch arithmetic, so arm choices and distributions match a
-    run_baps call bit-for-bit (reported totals can differ by float summation
-    order only). All environments advance in lockstep with numpy, which
-    makes hundreds of seeds affordable. Each step checks the lockstep state
-    as closed_loop does, so a state past DEFAULT_BLOWUP_CAP, or not finite,
-    raises StateBlowup at the step run_baps would. Only scalar environments
-    (n = m = 1) that run HorizonSelectionEnv's own step math are supported.
+    Each run drives run_baps's selector over `_hold` segments, one per
+    batch, so arm choices, batch costs and distributions match a run_baps
+    call with the same seed bit for bit; a total sums the batch costs in
+    order, which can differ from run_baps's total_cost by summation order
+    only. A state past DEFAULT_BLOWUP_CAP, or not finite, raises StateBlowup
+    at the step run_baps would; with several such environments, the
+    first-listed one raises. Only scalar environments (n = m = 1) that run
+    HorizonSelectionEnv's own step math are supported.
 
     Returns (total_costs, final_distributions) with shapes (S,) and (S, k).
     """
-    from ..baps import BapsState, baps_update
-
-    S = len(envs)
-    if len(seeds) != S:
+    if len(seeds) != len(envs):
         raise ValueError("need one sampling seed per environment")
     if not all(env._scalar_step_math() for env in envs):
         raise ValueError("batch runner needs scalar envs running HorizonSelectionEnv's step math")
 
-    T = min(env.T for env in envs)
-    num_batches = T // config.b
-    a = np.array([env.A[0, 0, 0] for env in envs])
-    b_dyn = np.array([env.B[0, 0, 0] for env in envs])
-    q = np.array([env.Q[0, 0, 0] for env in envs])
-    r = np.array([env.R[0, 0, 0] for env in envs])
-    gains = np.stack([np.array([float(g[0, 0]) for g in env._gains]) for env in envs])
-    ff = np.stack([env._ff[:T, :, 0] for env in envs])  # (S, T, J)
-    w = np.stack([env.w[:T, 0] for env in envs])  # (S, T)
-
-    rngs = [np.random.default_rng(s) for s in seeds]
-    states = [BapsState.initial(config.k) for _ in range(S)]
-    x = np.array([float(env.x0[0]) for env in envs])
-    total = np.zeros(S)
-    idx = np.arange(S)
-
-    t = 0
-    for _ in range(num_batches):
-        arms = np.array([rngs[i].choice(config.k, p=states[i].s) for i in range(S)])
-        K = gains[idx, arms]
-        batch_cost = np.zeros(S)
-        for _ in range(config.b):
-            check_state(t, x[:, None])
-            u = -K * x - ff[idx, t, arms]
-            c = q * x * x + r * u * u
-            batch_cost += c
-            x = a * x + b_dyn * u + w[:, t]
-            t += 1
-        total += batch_cost
-        for i in range(S):
-            states[i] = BapsState(
-                s=baps_update(states[i].s, int(arms[i]), float(batch_cost[i]), config.eta),
-                m=states[i].m + 1,
-            )
-    return total, np.stack([st.s for st in states])
+    b = config.b
+    num_batches = min(env.T for env in envs) // b
+    totals, dists = [], []
+    for env, seed in zip(envs, seeds):
+        selector = _BapsSelector(env.arm_thetas(), replace(config, seed=seed), num_batches)
+        x, total = float(env.x0[0]), 0.0
+        for t in range(0, num_batches * b, b):
+            selector.propose(t, x)
+            X = np.fromiter(env._hold(selector.arm, x, t, b), float, b + 1)
+            x = float(X[b])
+            costs = env._checked_costs([selector.arm], X[:b, None], t)[:, 0]
+            # Summed in step order, then in batch order, as run_baps sums.
+            batch_cost = float(np.add.accumulate(costs)[-1])
+            selector.end_batch(batch_cost)
+            total += batch_cost
+        totals.append(total)
+        dists.append(selector.s)
+    return np.array(totals), np.stack(dists)

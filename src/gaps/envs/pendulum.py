@@ -24,19 +24,15 @@ from .disturbances import IidGaussian, OrnsteinUhlenbeck
 # the heaviest.
 DEFAULT_GAIN_BOX = ((17.0, 4.0), (40.0, 16.0))
 DEFAULT_MASSES = (1.0, 0.8, 1.3)
+LENGTH, GRAVITY, DAMPING = 1.0, 9.81, 0.1
+DT = 0.02  # Euler step, seconds
+Q_ANGLE, Q_VELOCITY, R_CONTROL = 1.0, 0.1, 0.01
 
 
 @dataclass
 class PendulumParams:
-    length: float = 1.0
-    gravity: float = 9.81
-    damping: float = 0.1
-    dt: float = 0.02
     masses: tuple = DEFAULT_MASSES
     switch_period: float = 100.0  # seconds between mass changes
-    q_angle: float = 1.0
-    q_velocity: float = 0.1
-    r_control: float = 0.01
 
 
 class PendulumEnv(ControlSystem):
@@ -56,15 +52,18 @@ class PendulumEnv(ControlSystem):
             raise ValueError("the mass schedule needs at least one mass")
         if not all(math.isfinite(mass) and mass > 0 for mass in self.p.masses):
             raise ValueError(f"masses must be positive and finite, got {list(self.p.masses)}")
+        period = self.p.switch_period
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"switch_period must be positive and finite, got {period}")
         self.T = int(T)
         self.n = 2
         self.m = 1
         self.d = 2
         self.theta_set = theta_set or Box(*DEFAULT_GAIN_BOX)
         self.x0 = np.zeros(2) if x0 is None else np.asarray(x0, dtype=float)
-        self.Q = np.diag([self.p.q_angle, self.p.q_velocity])
-        self.R = np.array([[self.p.r_control]])
-        self._steps_per_mass = max(1, int(round(self.p.switch_period / self.p.dt)))
+        self.Q = np.diag([Q_ANGLE, Q_VELOCITY])
+        self.R = np.array([[R_CONTROL]])
+        self._steps_per_mass = max(1, int(round(period / DT)))
 
     def mass_at(self, t: int) -> float:
         return self.p.masses[(t // self._steps_per_mass) % len(self.p.masses)]
@@ -83,34 +82,32 @@ class PendulumEnv(ControlSystem):
         return np.array([-t0 * x0 - t1 * x1])
 
     def dynamics(self, t, x, u):
-        p = self.p
         x0, x1 = x.tolist()
         mass = self.mass_at(t)
-        ml2 = mass * p.length**2
+        ml2 = mass * LENGTH**2
         accel = (
-            (p.gravity / p.length) * math.sin(x0)
-            - (p.damping / ml2) * x1
+            (GRAVITY / LENGTH) * math.sin(x0)
+            - (DAMPING / ml2) * x1
             + u.tolist()[0] / ml2
             + self.w[t]
         )
-        return np.array([x0 + p.dt * x1, x1 + p.dt * accel])
+        return np.array([x0 + DT * x1, x1 + DT * accel])
 
     def cost(self, t, x, u):
         return quadratic_cost(x, self.Q, u, self.R)
 
     def jacobians(self, t, x, theta):
-        p = self.p
-        ml2 = self.mass_at(t) * p.length**2
+        ml2 = self.mass_at(t) * LENGTH**2
         t0, t1 = theta.tolist()
         x0, x1 = x.tolist()
         u0 = -t0 * x0 - t1 * x1  # the action policy(t, x, theta) plays
         dg_dx = np.array(
             [
-                [1.0, p.dt],
-                [p.dt * (p.gravity / p.length) * math.cos(x0), 1.0 - p.dt * p.damping / ml2],
+                [1.0, DT],
+                [DT * (GRAVITY / LENGTH) * math.cos(x0), 1.0 - DT * DAMPING / ml2],
             ]
         )
-        dg_du = np.array([[0.0], [p.dt / ml2]])
+        dg_du = np.array([[0.0], [DT / ml2]])
         return StepJacobians(
             dg_dx=dg_dx,
             dg_du=dg_du,
@@ -123,12 +120,9 @@ class PendulumEnv(ControlSystem):
 
     def linearization(self, mass: float) -> tuple[np.ndarray, np.ndarray]:
         """Euler-discretized linearization at the upright equilibrium."""
-        p = self.p
-        ml2 = mass * p.length**2
-        A = np.array(
-            [[1.0, p.dt], [p.dt * p.gravity / p.length, 1.0 - p.dt * p.damping / ml2]]
-        )
-        B = np.array([[0.0], [p.dt / ml2]])
+        ml2 = mass * LENGTH**2
+        A = np.array([[1.0, DT], [DT * GRAVITY / LENGTH, 1.0 - DT * DAMPING / ml2]])
+        B = np.array([[0.0], [DT / ml2]])
         return A, B
 
     def lqr_gains(self, mass: float) -> np.ndarray:
@@ -144,25 +138,22 @@ class PendulumEnv(ControlSystem):
         return -(thetas * X).sum(axis=1, keepdims=True)
 
     def dynamics_lanes(self, t, X, U):
-        p = self.p
-        ml2 = self.mass_at(t) * p.length**2
+        ml2 = self.mass_at(t) * LENGTH**2
         angle = X[:, 0]
         velocity = X[:, 1]
         accel = (
-            (p.gravity / p.length) * np.sin(angle)
-            - (p.damping / ml2) * velocity
+            (GRAVITY / LENGTH) * np.sin(angle)
+            - (DAMPING / ml2) * velocity
             + U[:, 0] / ml2
             + self.w[t]
         )
         out = np.empty_like(X)
-        out[:, 0] = angle + p.dt * velocity
-        out[:, 1] = velocity + p.dt * accel
+        out[:, 0] = angle + DT * velocity
+        out[:, 1] = velocity + DT * accel
         return out
 
-    def cost_lanes(self, t, X, U):
-        p = self.p
-        return p.q_angle * X[:, 0] ** 2 + p.q_velocity * X[:, 1] ** 2 + p.r_control * U[:, 0] ** 2
-
+    # quadratic_cost broadcasts over lanes with the per-state bits.
+    cost_lanes = cost
     # Bound here, not only inherited, so that per-class hooks on this name
     # (the benchmark's tracer) find it in the class namespace.
     batch_surrogate_costs = ControlSystem.batch_surrogate_costs

@@ -214,6 +214,8 @@ class TestVectorizedBatch:
             # up to summation order.
             assert np.array_equal(res.distribution_history[-1], dists[i])
             assert res.trajectory.total_cost == pytest.approx(totals[i], rel=1e-12)
+            # Exactly: the batch costs summed in batch order.
+            assert totals[i] == np.add.accumulate(res.batch_costs)[-1]
 
     @pytest.mark.parametrize("w50", [np.nan, 1e9])
     def test_blowup_raises_at_the_run_baps_step(self, w50):
@@ -226,6 +228,15 @@ class TestVectorizedBatch:
             cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=seeds[1])
             run_baps(envs[1], envs[1].arm_thetas(), cfg, 200)
         assert batch.value.t == single.value.t == 51
+
+    def test_blowup_raises_at_the_first_listed_env(self):
+        # Env 0 blows up later than env 1; envs run one after another.
+        envs = [make_horizon_selection_env([1, 2, 3], 200, seed=100 + s) for s in range(2)]
+        envs[0].w[120, 0] = np.nan
+        envs[1].w[50, 0] = np.nan
+        with pytest.raises(StateBlowup) as info:
+            run_baps_scalar_batch(envs, BapsConfig(k=3, b=25, eta=1e-3), [1000, 1001])
+        assert info.value.t == 121
 
     def test_refuses_env_with_its_own_step_math(self):
         class DoubledCost(HorizonSelectionEnv):

@@ -127,6 +127,19 @@ class TestRun:
         ["env.name=dac", "env.params.history=1.5"],
         ["env.params.k=true"],
         ["env.name=dac", "env.params.n=true"],
+        ["env.name=pendulum", "env.params.switch_period=0"],
+        ["env.name=pendulum", "env.params.switch_period=-1"],
+        ["env.params.switch_time=1.5"],
+        ["env.params.switch_time=-5"],
+        ["env.params.sigma_w=-1"],
+        ["env.params.sigma_pred_before=-1"],
+        ["env.name=constant_noise", "env.params.sigma_pred=-1"],
+        ["T=200", "env.params.sigma_pred_after=NaN"],
+        ["env.name=horizon", "env.params.pred_growth=-1"],
+        ["env.name=horizon", "env.params.sigma_pred0=-0.3"],
+        ["env.name=dac", "env.params.w_bound=-1"],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"iid","sigma":-1}'],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","sigma":-3}'],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -300,6 +313,17 @@ class TestSweep:
         values = [float(l.split(",")[1]) for l in lines[2:]]
         assert len(values) == 3
         assert len(set(values)) == 3  # distinct seeds, distinct traces
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--param", "seed", "--values", "0,1", "--out", str(out),
+            "--jobs", jobs, "--override", "T=20",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_sweep_grad_bias_metric_decreases_in_buffer(self, tmp_path):
         out = tmp_path / "sweepB"

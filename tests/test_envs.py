@@ -436,7 +436,8 @@ class TestLinearFeedback:
 
 def _random_lq_envs(n=3, m=2, T=40, seed=12):
     """The three linear-quadratic envs built directly with n > 1 and dense
-    time-varying A_t, B_t, Q_t and R_t, so every product sums several terms."""
+    time-varying A_t, B_t, Q_t and R_t, so every product sums several terms,
+    and the pendulum, whose quadratic cost sums two state terms."""
     rng = np.random.default_rng(seed)
 
     def spd(dim, count):
@@ -458,12 +459,13 @@ def _random_lq_envs(n=3, m=2, T=40, seed=12):
         "dac": DacEnv(
             A[:T], B[:T], Q[:T], R[:T], 0.1 * rng.standard_normal((T, m, n)), 2, w[:T], 1.0, x0
         ),
+        "pendulum": make_pendulum_env(T, IidGaussian(1.0), seed, x0=0.1 * rng.standard_normal(2)),
     }
 
 
-@pytest.mark.parametrize("name", ["linear_feedback", "confidence_mpc", "dac"])
+@pytest.mark.parametrize("name", ["linear_feedback", "confidence_mpc", "dac", "pendulum"])
 def test_lq_lanes_bit_equal_to_single_states(name):
-    """Every lane entry point and the surrogate table of a multi-state LQ env
+    """Every lane entry point and the surrogate table of a multi-state env
     equal the single-state methods and per-theta rollouts bit for bit."""
     env = _random_lq_envs()[name]
     rng = np.random.default_rng(3)

@@ -13,7 +13,7 @@ import pytest
 from gaps.core import GapsConfig, GapsState, gaps_step, run_gaps
 from gaps.envs import IidGaussian, OrnsteinUhlenbeck, make_pendulum_env
 from gaps.envs.horizon import make_horizon_selection_env
-from gaps.envs.pendulum import PendulumParams
+from gaps.envs.pendulum import DAMPING, DT, GRAVITY, LENGTH, PendulumParams
 from gaps.errors import NonFiniteGradient, SingularMatrix
 from gaps.linalg import PIVOT_TOL, quadratic_cost, row_matmul, solve_dare, solve_linear
 from gaps.system import Box, StepJacobians
@@ -43,15 +43,14 @@ def ref_pendulum_policy(env, t, x, theta):
 
 
 def ref_pendulum_dynamics(env, t, x, u):
-    p = env.p
-    ml2 = env.mass_at(t) * p.length**2
+    ml2 = env.mass_at(t) * LENGTH**2
     accel = (
-        (p.gravity / p.length) * np.sin(x[0])
-        - (p.damping / ml2) * x[1]
+        (GRAVITY / LENGTH) * np.sin(x[0])
+        - (DAMPING / ml2) * x[1]
         + u[0] / ml2
         + env.w[t]
     )
-    return np.array([x[0] + p.dt * x[1], x[1] + p.dt * accel])
+    return np.array([x[0] + DT * x[1], x[1] + DT * accel])
 
 
 def ref_cost(env, t, x, u):
@@ -59,17 +58,16 @@ def ref_cost(env, t, x, u):
 
 
 def ref_pendulum_jacobians(env, t, x, theta):
-    p = env.p
-    ml2 = env.mass_at(t) * p.length**2
+    ml2 = env.mass_at(t) * LENGTH**2
     u = ref_pendulum_policy(env, t, x, theta)
     return StepJacobians(
         dg_dx=np.array(
             [
-                [1.0, p.dt],
-                [p.dt * (p.gravity / p.length) * np.cos(x[0]), 1.0 - p.dt * p.damping / ml2],
+                [1.0, DT],
+                [DT * (GRAVITY / LENGTH) * np.cos(x[0]), 1.0 - DT * DAMPING / ml2],
             ]
         ),
-        dg_du=np.array([[0.0], [p.dt / ml2]]),
+        dg_du=np.array([[0.0], [DT / ml2]]),
         dpi_dx=np.array([[-theta[0], -theta[1]]]),
         dpi_dtheta=np.array([[-x[0], -x[1]]]),
         df_dx=2.0 * env.Q @ x,
