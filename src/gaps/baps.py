@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbabilitySampled, require_integer
-from .system import ControlSystem, Trajectory, closed_loop
+from .system import ControlSystem, Trajectory
 
 # Above this exponent the multiplicative update switches to log-space.
 _EXP_GUARD = 50.0
@@ -35,8 +35,8 @@ class BapsConfig:
             raise ValueError("need at least 2 arms")
         if require_integer("b", self.b) < 1:
             raise ValueError("batch size must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
     @classmethod
     def schedule(
@@ -120,41 +120,6 @@ class BapsResult:
     batch_costs: np.ndarray  # (num_batches,)
 
 
-class _BapsSelector:
-    """Samples an arm from the distribution s at the start of batch m and
-    holds it for b steps; end_batch updates s with the summed batch cost."""
-
-    def __init__(self, arms: list[np.ndarray], config: BapsConfig, num_batches: int):
-        self.arms = arms
-        self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        self.s = np.full(config.k, 1.0 / config.k)
-        self.m = 0
-        self.arm_history = np.empty(num_batches, dtype=int)
-        self.dist_history = np.empty((num_batches + 1, config.k))
-        self.batch_costs = np.empty(num_batches)
-
-    def propose(self, t, x):
-        if t % self.config.b == 0:
-            self.dist_history[self.m] = self.s
-            self.arm = int(self.rng.choice(self.config.k, p=self.s))
-            self.arm_history[self.m] = self.arm
-            self.batch_cost = 0.0
-        return self.arms[self.arm]
-
-    def observe(self, t, x, u, cost):
-        self.batch_cost += cost
-        if (t + 1) % self.config.b == 0:
-            self.end_batch(self.batch_cost)
-        return None
-
-    def end_batch(self, batch_cost: float) -> None:
-        """Record the cost of the batch just played and update s with it."""
-        self.batch_costs[self.m] = batch_cost
-        self.s = baps_update(self.s, self.arm, batch_cost, self.config.eta)
-        self.m += 1
-
-
 def run_baps(
     system: ControlSystem,
     arms: list[np.ndarray],
@@ -163,11 +128,13 @@ def run_baps(
 ) -> BapsResult:
     """Run batched bandit selection for T steps.
 
-    At each batch start an arm is sampled from the current distribution and
-    its parameter is held for b steps; the realized batch cost drives the
-    update. A trailing partial batch (T not divisible by b) is truncated
-    with a warning, and one `closed_loop` call runs the b * (T // b) steps
-    that remain.
+    One loop over batches: at each batch start an arm is sampled from the
+    current distribution, `system.hold` plays its parameter for b steps
+    from the batch's step and state, and the batch cost, the segment's
+    stage costs summed in step order, drives the update. A trailing partial
+    batch (T not divisible by b) is truncated with a warning. A state past
+    DEFAULT_BLOWUP_CAP, or not finite, raises StateBlowup at its step, as
+    in `closed_loop`.
     """
     arms = [np.atleast_1d(np.asarray(a, dtype=float)) for a in arms]
     if len(arms) != config.k:
@@ -181,12 +148,37 @@ def run_baps(
             stacklevel=2,
         )
 
-    selector = _BapsSelector(arms, config, num_batches)
-    traj = closed_loop(system, selector, num_batches * config.b)
-    selector.dist_history[num_batches] = selector.s
+    rng = np.random.default_rng(config.seed)
+    s = np.full(config.k, 1.0 / config.k)
+    arm_history = np.empty(num_batches, dtype=int)
+    dist_history = np.empty((num_batches + 1, config.k))
+    batch_costs = np.empty(num_batches)
+    b = config.b
+    steps = num_batches * b
+    states = np.empty((steps, system.n))
+    actions = np.empty((steps, system.m))
+    thetas = np.empty((steps, system.d))
+    costs = np.empty(steps)
+    x = np.array(system.x0, dtype=float)
+    for m in range(num_batches):
+        dist_history[m] = s
+        j = arm_history[m] = int(rng.choice(config.k, p=s))
+        t0 = m * b
+        seg = system.hold(t0, x, arms[j], b)
+        span = slice(t0, t0 + b)
+        states[span], actions[span], thetas[span], costs[span] = (
+            seg.states, seg.actions, seg.thetas, seg.costs
+        )
+        x = seg.final_state
+        # Summed in step order, the bits of a running `batch_cost += cost`.
+        batch_costs[m] = np.add.accumulate(seg.costs)[-1]
+        s = baps_update(s, j, batch_costs[m], config.eta)
+    dist_history[num_batches] = s
     return BapsResult(
-        trajectory=traj,
-        arm_history=selector.arm_history,
-        distribution_history=selector.dist_history,
-        batch_costs=selector.batch_costs,
+        trajectory=Trajectory(
+            states=states, actions=actions, thetas=thetas, costs=costs, final_state=x
+        ),
+        arm_history=arm_history,
+        distribution_history=dist_history,
+        batch_costs=batch_costs,
     )

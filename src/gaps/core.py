@@ -48,14 +48,16 @@ class GapsConfig:
 
     def __post_init__(self):
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if require_integer("buffer length B", self.B) < 1:
             raise ValueError("buffer length B must be >= 1")
         if self.theta0.shape != (self.set.dim,):
             raise DimensionMismatch(
                 f"theta0 has shape {self.theta0.shape}, set dimension is {self.set.dim}"
             )
+        if not np.isfinite(self.theta0).all():
+            raise ValueError(f"theta0 must be finite, got {self.theta0.tolist()}")
 
 
 @dataclass

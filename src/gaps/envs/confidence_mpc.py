@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import require_integer
 from ..linalg import finite_horizon_lq, row_matmul, solve_dare
 from ..system import Box, ControlSystem
-from .disturbances import PiecewiseNoiseSchedule, predicted_disturbances
+from .disturbances import PiecewiseNoiseSchedule, predicted_disturbances, require_scale
 from .linear_quadratic import LinearQuadraticEnv
 
 
@@ -126,6 +126,8 @@ def make_fig2_env(
     """
     if require_integer("switch_time", switch_time) < 0:
         raise ValueError(f"switch_time must be >= 0, got {switch_time}")
+    # Checked here as well: a run that ends by switch_time never draws it.
+    require_scale("sigma_pred_after", sigma_pred_after)
     schedule = PiecewiseNoiseSchedule(
         [(0, switch_time + 1, sigma_pred_before), (switch_time + 1, T, sigma_pred_after)]
     )

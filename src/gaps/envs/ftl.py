@@ -9,6 +9,8 @@ accumulated quadratics, clamped to [0, 1].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..system import Trajectory, closed_loop
@@ -57,4 +59,6 @@ def ftl_confidence_baseline(
     """
     if env.k != 1:
         raise ValueError("the follow-the-leader baseline needs k = 1")
+    if not math.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
     return closed_loop(env, _FtlSelector(env, lambda0), T)

@@ -15,10 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..baps import _BapsSelector
+from ..baps import run_baps
 from ..errors import require_integer
 from ..linalg import dot, finite_horizon_lq, solve_dare
-from ..system import DEFAULT_BLOWUP_CAP, Box, check_state
+from ..system import DEFAULT_BLOWUP_CAP, Box, Trajectory, check_state
 from .disturbances import predicted_disturbances
 from .linear_quadratic import LinearQuadraticEnv
 
@@ -105,8 +105,9 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
             fw, lambda x, fw: (x * a + (-(K * x) - fw[0]) * b) + fw[1], initial=x
         )
 
-    def _checked_costs(self, arms: list[int], X: np.ndarray, t0: int) -> np.ndarray:
-        """Stage costs (q x) x + (r u) u of the (steps, L) states X, column i
+    def _checked_costs(self, arms: list[int], X: np.ndarray, t0: int):
+        """Actions -(K x) - ff_t and stage costs (q x) x + (r u) u, as a
+        pair of (steps, L) arrays, of the (steps, L) states X, column i
         holding arms[i] from step t0. The first state past DEFAULT_BLOWUP_CAP,
         or not finite, raises check_state's StateBlowup at its step; the
         check spans all columns, so the earliest step over them raises."""
@@ -116,7 +117,22 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
         gains = np.array([self._gains[j][0, 0] for j in arms])
         U = -(gains * X) - self._ff[t0 : t0 + len(X), arms, 0]
         q, r = float(self.Q[0, 0, 0]), float(self.R[0, 0, 0])
-        return (X * q) * X + (U * r) * U
+        return U, (X * q) * X + (U * r) * U
+
+    def hold(self, t0, x, theta, steps):
+        """ControlSystem.hold; a scalar system with this class's own step
+        math plays the segment as one `_hold` and checks and costs its
+        states together, bit for bit as the shared loop, raising the
+        StateBlowup it would raise."""
+        if not self._scalar_step_math():
+            return super().hold(t0, x, theta, steps)
+        j = self._arm(theta)
+        X = np.fromiter(self._hold(j, float(x[0]), t0, steps), float, steps + 1)[:, None]
+        U, costs = self._checked_costs([j], X[:steps], t0)
+        return Trajectory(
+            states=X[:steps], actions=U, thetas=np.full((steps, self.d), theta),
+            costs=costs[:, 0], final_state=X[steps],
+        )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         """(T, L) surrogate costs, as ControlSystem.batch_surrogate_costs.
@@ -131,7 +147,7 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
         arms = [self._arm(th) for th in np.atleast_2d(np.asarray(thetas, dtype=float))]
         x0 = float(self.x0[0])
         X = np.stack([np.fromiter(self._hold(j, x0, 0, T), float, T) for j in arms], axis=1)
-        return self._checked_costs(arms, X, 0)
+        return self._checked_costs(arms, X, 0)[1]
 
 
 def make_horizon_selection_env(
@@ -160,16 +176,18 @@ def make_horizon_selection_env(
 
 
 def run_baps_scalar_batch(envs, config, seeds):
-    """Batched-bandit runs on many scalar environments, one after another.
+    """Batched-bandit runs on many scalar environments, one `run_baps` call
+    per environment.
 
-    Each run drives run_baps's selector over `_hold` segments, one per
-    batch, so arm choices, batch costs and distributions match a run_baps
-    call with the same seed bit for bit; a total sums the batch costs in
+    Every environment runs T // b whole batches, T being the shortest
+    environment's horizon. Each run's arm choices, batch costs and
+    distributions are run_baps's own; a total sums its batch costs in batch
     order, which can differ from run_baps's total_cost by summation order
     only. A state past DEFAULT_BLOWUP_CAP, or not finite, raises StateBlowup
-    at the step run_baps would; with several such environments, the
+    at the step run_baps raises at; with several such environments, the
     first-listed one raises. Only scalar environments (n = m = 1) that run
-    HorizonSelectionEnv's own step math are supported.
+    HorizonSelectionEnv's own step math are supported, so every batch is one
+    `_hold` segment.
 
     Returns (total_costs, final_distributions) with shapes (S,) and (S, k).
     """
@@ -178,21 +196,13 @@ def run_baps_scalar_batch(envs, config, seeds):
     if not all(env._scalar_step_math() for env in envs):
         raise ValueError("batch runner needs scalar envs running HorizonSelectionEnv's step math")
 
-    b = config.b
-    num_batches = min(env.T for env in envs) // b
+    steps = min(env.T for env in envs) // config.b * config.b
     totals, dists = [], []
     for env, seed in zip(envs, seeds):
-        selector = _BapsSelector(env.arm_thetas(), replace(config, seed=seed), num_batches)
-        x, total = float(env.x0[0]), 0.0
-        for t in range(0, num_batches * b, b):
-            selector.propose(t, x)
-            X = np.fromiter(env._hold(selector.arm, x, t, b), float, b + 1)
-            x = float(X[b])
-            costs = env._checked_costs([selector.arm], X[:b, None], t)[:, 0]
-            # Summed in step order, then in batch order, as run_baps sums.
-            batch_cost = float(np.add.accumulate(costs)[-1])
-            selector.end_batch(batch_cost)
+        res = run_baps(env, env.arm_thetas(), replace(config, seed=seed), steps)
+        total = 0.0  # in batch order; np.sum would reduce pairwise
+        for batch_cost in res.batch_costs.tolist():
             total += batch_cost
         totals.append(total)
-        dists.append(selector.s)
+        dists.append(res.distribution_history[-1])
     return np.array(totals), np.stack(dists)

@@ -7,9 +7,12 @@ function of (t, x, u) thereafter; the same instance can therefore be
 resimulated from step 0 with a different parameter, which is what the
 oracle module relies on.
 
-Every runner is one call of `closed_loop(system, selector, T)`: the loop
-observes x_t, asks the selector for theta_t, plays the policy, and hands
-the step back to the selector. Only the selectors differ between runners.
+The one per-step loop is `closed_loop(system, selector, T)`: it observes
+x_t, asks the selector for theta_t, plays the policy, and hands the step
+back to the selector. `rollout`, the streaming runners and the
+follow-the-leader baseline are one call of it each; BAPS plays one
+`ControlSystem.hold` per batch, which by default is `closed_loop` started
+at the batch's step and state.
 """
 
 from __future__ import annotations
@@ -294,6 +297,15 @@ class ControlSystem(abc.ABC):
             X = self.dynamics_lanes(t, X, U)
         return out
 
+    def hold(self, t0: int, x: np.ndarray, theta: np.ndarray, steps: int) -> Trajectory:
+        """The closed loop that holds theta for steps steps from state x at
+        step t0: `closed_loop` started at (t0, x). Row i of the trajectory
+        is step t0 + i; a state past DEFAULT_BLOWUP_CAP, or not finite,
+        raises StateBlowup at its absolute step."""
+        return closed_loop(
+            self, _Replay(np.broadcast_to(theta, (t0 + steps, self.d))), steps, start=(t0, x)
+        )
+
     def arm_thetas(self) -> list[np.ndarray] | None:
         """The finite arm set a bandit selector chooses from, or None when
         the system has none."""
@@ -321,7 +333,7 @@ def check_state(t: int, x: np.ndarray) -> None:
         raise StateBlowup(t, float(norm), DEFAULT_BLOWUP_CAP)
 
 
-def closed_loop(system: ControlSystem, selector, T: int) -> Trajectory:
+def closed_loop(system: ControlSystem, selector, T: int, start=None) -> Trajectory:
     """Run T steps of online policy selection on one trajectory.
 
     A selector has two methods. `propose(t, x)` returns theta_t for the
@@ -332,28 +344,35 @@ def closed_loop(system: ControlSystem, selector, T: int) -> Trajectory:
     u_t = policy(t, x_t, theta_t), records the step, and advances the
     dynamics after the selector has observed it. The trajectory carries
     grads exactly when the selector returned them.
+
+    The loop starts at step 0 from system.x0. `start=(t0, x)`, which only
+    `ControlSystem.hold` passes, starts it at step t0 from state x instead:
+    it runs steps t0 .. t0 + T - 1, and row i of the trajectory is step
+    t0 + i.
     """
-    x = np.array(system.x0, dtype=float)
+    t0, x = (0, system.x0) if start is None else start
+    x = np.array(x, dtype=float)
     states = np.empty((T, system.n))
     actions = np.empty((T, system.m))
     thetas = np.empty((T, system.d))
     costs = np.empty(T)
     grads = None
 
-    for t in range(T):
+    for i in range(T):
+        t = t0 + i
         check_state(t, x)
         theta = selector.propose(t, x)
         u = system.policy(t, x, theta)
         cost = system.cost(t, x, u)
-        states[t] = x
-        actions[t] = u
-        thetas[t] = theta
-        costs[t] = cost
+        states[i] = x
+        actions[i] = u
+        thetas[i] = theta
+        costs[i] = cost
         grad = selector.observe(t, x, u, cost)
         if grad is not None:
             if grads is None:
                 grads = np.empty((T, system.d))
-            grads[t] = grad
+            grads[i] = grad
         x = system.dynamics(t, x, u)
 
     return Trajectory(

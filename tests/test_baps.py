@@ -202,6 +202,72 @@ class TestClosedLoopReference:
         assert traj.grads is None
 
 
+def subclass_env(env, scale):
+    """env's system as a HorizonSelectionEnv subclass whose own `cost`
+    multiplies the stage cost by scale: its step math is not the base
+    class's, so `hold` runs the shared loop. It shares env's disturbance
+    arrays."""
+
+    class OwnCost(HorizonSelectionEnv):
+        def cost(self, t, x, u):
+            return scale * super().cost(t, x, u)
+
+    return OwnCost(
+        env.A[0], env.B[0], env.Q[0], env.R[0], env.Qf, env.horizons, env.w, env.w_pred
+    )
+
+
+def assert_equals_reference(env, cfg, T):
+    with pytest.warns(UserWarning, match="not divisible"):
+        res = run_baps(env, env.arm_thetas(), cfg, T)
+    states, actions, thetas, costs, (arms, dists, batch_costs), x = reference_baps(
+        env, env.arm_thetas(), cfg, T
+    )
+    traj = res.trajectory
+    assert len(traj) == T // cfg.b * cfg.b
+    for got, want in [
+        (traj.states, states), (traj.actions, actions), (traj.thetas, thetas),
+        (traj.costs, costs), (res.arm_history, arms), (res.distribution_history, dists),
+        (res.batch_costs, batch_costs), (traj.final_state, x),
+    ]:
+        assert np.array_equal(got, want)
+    assert len(set(arms.tolist())) > 1
+    return res
+
+
+class TestBaseHold:
+    """run_baps on systems whose `hold` is the shared loop."""
+
+    def test_own_cost_subclass_equals_reference_loop(self):
+        env = subclass_env(make_horizon_selection_env([1, 2, 3], 1005, seed=0), 2.0)
+        assert not env._scalar_step_math()
+        assert_equals_reference(env, BapsConfig(k=3, b=50, eta=1e-3, seed=7), 1005)
+
+    def test_const_env_equals_reference_loop(self):
+        env = TestRunBaps().constant_cost_env(1005, {0: 0.1, 1: 1.0})
+        assert_equals_reference(env, BapsConfig(k=2, b=50, eta=0.05, seed=3), 1005)
+
+    def test_fast_and_base_paths_agree_bit_for_bit(self):
+        env = make_horizon_selection_env([1, 2, 3], 1005, seed=4)
+        cfg = BapsConfig(k=3, b=50, eta=2e-3, seed=5)
+        fast = assert_equals_reference(env, cfg, 1005)
+        base = assert_equals_reference(subclass_env(env, 1.0), cfg, 1005)
+        assert np.array_equal(fast.trajectory.states, base.trajectory.states)
+        assert np.array_equal(fast.batch_costs, base.batch_costs)
+
+    @pytest.mark.parametrize("step", [50, 62, 74])  # batch 2's first, middle, last
+    @pytest.mark.parametrize("w", [np.nan, 1e9])
+    def test_both_paths_raise_at_the_same_step(self, step, w):
+        env = make_horizon_selection_env([1, 2, 3], 200, seed=100)
+        env.w[step, 0] = w
+        cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=1000)
+        with pytest.raises(StateBlowup) as fast:
+            run_baps(env, env.arm_thetas(), cfg, 200)
+        with pytest.raises(StateBlowup) as base:
+            run_baps(subclass_env(env, 1.0), env.arm_thetas(), cfg, 200)
+        assert fast.value.t == base.value.t == step + 1
+
+
 class TestVectorizedBatch:
     def test_matches_per_env_runs(self):
         cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=0)

@@ -140,6 +140,14 @@ class TestRun:
         ["env.name=dac", "env.params.w_bound=-1"],
         ["env.name=pendulum", 'env.params.disturbance={"kind":"iid","sigma":-1}'],
         ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","sigma":-3}'],
+        ["env.name=horizon", "algorithm.name=baps", "T=200", "algorithm.params.eta=NaN"],
+        ["env.name=horizon", "algorithm.name=baps", "T=200", "algorithm.params.eta=Infinity"],
+        ["algorithm.params.eta=Infinity"],
+        ["algorithm.params.eta=NaN"],
+        ["algorithm.params.theta0=[NaN]"],
+        ["algorithm.params.theta0=[Infinity]"],
+        ["algorithm.name=ftl", "algorithm.params.lambda0=NaN"],
+        ["env.params.sigma_pred_after=NaN", "metrics.regret=false"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
