@@ -59,8 +59,10 @@ def sample_slow_sequence(
     """Random walk in the set with per-step increment norm at most eps.
 
     eps = 0 gives a constant sequence; eps = inf gives i.i.d. draws from the
-    set's sampler, projected.
+    set's sampler, projected. A negative or NaN eps raises ValueError.
     """
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     rng = _as_rng(rng)
     seq = np.empty((length, pset.dim))
     theta = pset.project(pset.sample(rng))

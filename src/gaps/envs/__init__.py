@@ -2,13 +2,9 @@
 
 from .confidence_mpc import ConfidenceMpcEnv, make_constant_noise_env, make_fig2_env
 from .dac import DacEnv, make_dac_env
-from .disturbances import IidGaussian, OrnsteinUhlenbeck, PiecewiseNoiseSchedule
+from .disturbances import IidGaussian, OrnsteinUhlenbeck
 from .ftl import ftl_confidence_baseline
-from .horizon import (
-    HorizonSelectionEnv,
-    make_horizon_selection_env,
-    run_baps_scalar_batch,
-)
+from .horizon import HorizonSelectionEnv, make_horizon_selection_env
 from .linear_feedback import LinearFeedbackEnv
 from .pendulum import (
     PendulumEnv,
@@ -26,7 +22,6 @@ __all__ = [
     "OrnsteinUhlenbeck",
     "PendulumEnv",
     "PendulumParams",
-    "PiecewiseNoiseSchedule",
     "ftl_confidence_baseline",
     "lqr_baseline",
     "make_constant_noise_env",
@@ -34,5 +29,4 @@ __all__ = [
     "make_fig2_env",
     "make_horizon_selection_env",
     "make_pendulum_env",
-    "run_baps_scalar_batch",
 ]

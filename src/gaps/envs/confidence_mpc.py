@@ -13,8 +13,8 @@ import numpy as np
 
 from ..errors import require_integer
 from ..linalg import finite_horizon_lq, row_matmul, solve_dare
-from ..system import Box, ControlSystem
-from .disturbances import PiecewiseNoiseSchedule, predicted_disturbances, require_scale
+from ..system import Box
+from .disturbances import predicted_disturbances, require_scale
 from .linear_quadratic import LinearQuadraticEnv
 
 
@@ -92,7 +92,6 @@ class ConfidenceMpcEnv(LinearQuadraticEnv):
     # would give the class the per-lane loop.
     dynamics = dynamics_lanes = LinearQuadraticEnv.dynamics
     cost = cost_lanes = LinearQuadraticEnv.cost
-    batch_surrogate_costs = ControlSystem.batch_surrogate_costs
 
 
 def _scalar_env(T, seed, k, a, b, sigma_w, pred_sigmas) -> ConfidenceMpcEnv:
@@ -128,10 +127,8 @@ def make_fig2_env(
         raise ValueError(f"switch_time must be >= 0, got {switch_time}")
     # Checked here as well: a run that ends by switch_time never draws it.
     require_scale("sigma_pred_after", sigma_pred_after)
-    schedule = PiecewiseNoiseSchedule(
-        [(0, switch_time + 1, sigma_pred_before), (switch_time + 1, T, sigma_pred_after)]
-    )
-    return _scalar_env(T, seed, k, 2.0, 1.0, sigma_w, schedule.sigmas(T))
+    sigmas = np.where(np.arange(T) <= switch_time, sigma_pred_before, sigma_pred_after)
+    return _scalar_env(T, seed, k, 2.0, 1.0, sigma_w, sigmas)
 
 
 def make_constant_noise_env(

@@ -71,24 +71,3 @@ class OrnsteinUhlenbeck:
             w = decay * w + scale * rng.standard_normal(dim)
             out[t] = w
         return out
-
-
-@dataclass
-class PiecewiseNoiseSchedule:
-    """Prediction-noise sigma as a piecewise-constant function of time.
-
-    segments is a list of (t_start, t_end, sigma) with t_end exclusive;
-    times not covered by any segment get sigma 0.
-    """
-
-    segments: list[tuple[int, int, float]]
-
-    def sigma_at(self, t: int) -> float:
-        for t0, t1, sigma in self.segments:
-            if t0 <= t < t1:
-                return float(sigma)
-        return 0.0
-
-    def sigmas(self, T: int) -> np.ndarray:
-        return np.array([self.sigma_at(t) for t in range(T)])
-

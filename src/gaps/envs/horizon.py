@@ -11,11 +11,9 @@ and is constant in theta elsewhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
-from ..baps import run_baps
 from ..errors import require_integer
 from ..linalg import dot, finite_horizon_lq, solve_dare
 from ..system import DEFAULT_BLOWUP_CAP, Box, Trajectory, check_state
@@ -84,15 +82,6 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
     dynamics = dynamics_lanes = LinearQuadraticEnv.dynamics
     cost = cost_lanes = LinearQuadraticEnv.cost
 
-    def _scalar_step_math(self) -> bool:
-        """A scalar system whose policy, dynamics and cost are this class's
-        own: the case `_hold` and `_checked_costs` compute inline."""
-        cls = type(self)
-        return self.n == self.m == 1 and all(
-            getattr(cls, name) is getattr(HorizonSelectionEnv, name)
-            for name in ("policy", "dynamics", "cost")
-        )
-
     def _hold(self, j: int, x: float, t0: int, steps: int):
         """Iterator over the states x_t0 .. x_{t0+steps}, as Python floats,
         of arm j held from state x at step t0 on a scalar system, in the
@@ -119,12 +108,15 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
         q, r = float(self.Q[0, 0, 0]), float(self.R[0, 0, 0])
         return U, (X * q) * X + (U * r) * U
 
+    # The two fast paths below compute this class's step math inline; a
+    # subclass that redefines policy, dynamics or cost gets ControlSystem's
+    # `hold` and `batch_surrogate_costs` back (ControlSystem.__init_subclass__).
+
     def hold(self, t0, x, theta, steps):
-        """ControlSystem.hold; a scalar system with this class's own step
-        math plays the segment as one `_hold` and checks and costs its
-        states together, bit for bit as the shared loop, raising the
-        StateBlowup it would raise."""
-        if not self._scalar_step_math():
+        """ControlSystem.hold; a scalar system plays the segment as one
+        `_hold` and checks and costs its states together, bit for bit as
+        the shared loop, raising the StateBlowup it would raise."""
+        if not self.n == self.m == 1:
             return super().hold(t0, x, theta, steps)
         j = self._arm(theta)
         X = np.fromiter(self._hold(j, float(x[0]), t0, steps), float, steps + 1)[:, None]
@@ -137,12 +129,12 @@ class HorizonSelectionEnv(LinearQuadraticEnv):
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         """(T, L) surrogate costs, as ControlSystem.batch_surrogate_costs.
 
-        A scalar system with this class's own step math runs each lane as
-        one `_hold` from x0 and costs and checks all lanes together, raising
-        the StateBlowup the shared loop would raise. Every other case runs
-        the shared loop.
+        A scalar system runs each lane as one `_hold` from x0 and costs and
+        checks all lanes together, raising the StateBlowup the shared loop
+        would raise. A system with more states or inputs runs the shared
+        loop.
         """
-        if not self._scalar_step_math():
+        if not self.n == self.m == 1:
             return super().batch_surrogate_costs(thetas, T)
         arms = [self._arm(th) for th in np.atleast_2d(np.asarray(thetas, dtype=float))]
         x0 = float(self.x0[0])
@@ -173,36 +165,3 @@ def make_horizon_selection_env(
     lead_sigmas = sigma_pred0 * pred_growth ** np.arange(max_k)
     w, predictions = predicted_disturbances(T, max_k, seed, sigma_w, lead_sigmas[:, None])
     return HorizonSelectionEnv(A, B, q, q, Qf, horizons, w, predictions, x0=x0)
-
-
-def run_baps_scalar_batch(envs, config, seeds):
-    """Batched-bandit runs on many scalar environments, one `run_baps` call
-    per environment.
-
-    Every environment runs T // b whole batches, T being the shortest
-    environment's horizon. Each run's arm choices, batch costs and
-    distributions are run_baps's own; a total sums its batch costs in batch
-    order, which can differ from run_baps's total_cost by summation order
-    only. A state past DEFAULT_BLOWUP_CAP, or not finite, raises StateBlowup
-    at the step run_baps raises at; with several such environments, the
-    first-listed one raises. Only scalar environments (n = m = 1) that run
-    HorizonSelectionEnv's own step math are supported, so every batch is one
-    `_hold` segment.
-
-    Returns (total_costs, final_distributions) with shapes (S,) and (S, k).
-    """
-    if len(seeds) != len(envs):
-        raise ValueError("need one sampling seed per environment")
-    if not all(env._scalar_step_math() for env in envs):
-        raise ValueError("batch runner needs scalar envs running HorizonSelectionEnv's step math")
-
-    steps = min(env.T for env in envs) // config.b * config.b
-    totals, dists = [], []
-    for env, seed in zip(envs, seeds):
-        res = run_baps(env, env.arm_thetas(), replace(config, seed=seed), steps)
-        total = 0.0  # in batch order; np.sum would reduce pairwise
-        for batch_cost in res.batch_costs.tolist():
-            total += batch_cost
-        totals.append(total)
-        dists.append(res.distribution_history[-1])
-    return np.array(totals), np.stack(dists)

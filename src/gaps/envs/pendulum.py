@@ -154,9 +154,6 @@ class PendulumEnv(ControlSystem):
 
     # quadratic_cost broadcasts over lanes with the per-state bits.
     cost_lanes = cost
-    # Bound here, not only inherited, so that per-class hooks on this name
-    # (the benchmark's tracer) find it in the class namespace.
-    batch_surrogate_costs = ControlSystem.batch_surrogate_costs
 
 
 def make_pendulum_env(

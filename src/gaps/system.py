@@ -97,8 +97,8 @@ class Ball(ParameterSet):
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
         self.dim = self.center.size
 
     def project(self, theta):
@@ -249,16 +249,23 @@ class ControlSystem(abc.ABC):
     # parameter and action. The defaults loop over the lanes with the
     # single-state methods; a system whose step math broadcasts over a
     # leading axis can point these at its single-state methods instead.
-    # A subclass that redefines a single-state method without its lane
-    # entry point gets the default loop back (see __init_subclass__), so
-    # it never inherits lane math written for its parent's step math.
+    # A subclass never inherits a fast path written for its parent's step
+    # math (see __init_subclass__): one that redefines a single-state method
+    # without its lane entry point gets the default loop back, and one that
+    # redefines policy, dynamics or cost without `hold` or
+    # `batch_surrogate_costs` gets the defaults of those two back.
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        own = vars(cls)
         for name in ("policy", "dynamics", "cost", "jacobians"):
             lanes = f"{name}_lanes"
-            if name in vars(cls) and lanes not in vars(cls):
+            if name in own and lanes not in own:
                 setattr(cls, lanes, vars(ControlSystem)[lanes])
+        if any(name in own for name in ("policy", "dynamics", "cost")):
+            for name in ("hold", "batch_surrogate_costs"):
+                if name not in own:
+                    setattr(cls, name, vars(ControlSystem)[name])
 
     def policy_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """(L, m) actions: row i is policy(t, X[i], thetas[i])."""

@@ -8,6 +8,8 @@ a generic differentiable plant is needed.
 import numpy as np
 import pytest
 
+from gaps.envs.horizon import HorizonSelectionEnv
+from gaps.linalg import solve_dare
 from gaps.system import ControlSystem, StepJacobians, WholeSpace
 
 
@@ -57,6 +59,20 @@ class TanhSystem(ControlSystem):
             df_dx=2.0 * self.Q @ x,
             df_du=2.0 * self.R @ u,
         )
+
+
+def two_state_horizon_env() -> HorizonSelectionEnv:
+    """A horizon env with two states and one input over T = 80 steps: its
+    `hold` and regret table run the shared loop, not the scalar segment."""
+    T = 80
+    rng = np.random.default_rng(8)
+    A = np.array([[1.1, 0.3], [0.0, 0.9]])
+    B = np.array([[0.0], [1.0]])
+    Q, R = np.eye(2), np.eye(1)
+    w = 0.5 * rng.standard_normal((T + 2, 2))
+    preds = np.lib.stride_tricks.sliding_window_view(w, 2, axis=0)[:T].transpose(0, 2, 1)
+    return HorizonSelectionEnv(A, B, Q, R, solve_dare(A, B, Q, R).P, [1, 2], w,
+                               preds + 0.1 * rng.standard_normal((T, 2, 2)), x0=[0.5, -0.2])
 
 
 def random_tanh_system(rng: np.random.Generator) -> TanhSystem:

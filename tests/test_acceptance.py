@@ -6,10 +6,11 @@ lines. Budgets: AC-1 under 10 s, AC-2/AC-3 under 60 s, AC-4 under 10 min.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from gaps.baps import BapsConfig
+from gaps.baps import BapsConfig, run_baps
 from gaps.contraction import estimate_contraction
 from gaps.core import GapsConfig, run_gaps
 from gaps.envs import (
@@ -22,7 +23,6 @@ from gaps.envs import (
     make_horizon_selection_env,
     make_pendulum_env,
 )
-from gaps.envs.horizon import run_baps_scalar_batch
 from gaps.envs.linear_feedback import LinearFeedbackEnv
 from gaps.errors import Divergence
 from gaps.linalg import solve_dare
@@ -214,15 +214,17 @@ def test_ac7_bandit_horizon_selection_regret_and_concentration():
     for T in [5000, 20000, 80000]:
         cfg = BapsConfig.schedule(k=k, T=T, C0=1.0, rho=RHO_SCALAR, D0=D0, seed=0)
         regrets = []
-        for chunk_start in range(0, seeds, 25):
-            chunk = list(range(chunk_start, chunk_start + 25))
-            envs = [make_horizon_selection_env(horizons, T, seed=10_000 + s) for s in chunk]
-            totals, dists = run_baps_scalar_batch(envs, cfg, [20_000 + s for s in chunk])
-            for i, env in enumerate(envs):
-                arm_costs = surrogate_table(env, np.stack(env.arm_thetas()), T).sum(axis=0)
-                regrets.append(totals[i] - arm_costs.min())
-                if T == 80_000:
-                    best_mass.append(dists[i, int(np.argmin(arm_costs))])
+        for s in range(seeds):
+            env = make_horizon_selection_env(horizons, T, seed=10_000 + s)
+            res = run_baps(
+                env, env.arm_thetas(), replace(cfg, seed=20_000 + s), T // cfg.b * cfg.b
+            )
+            # The batch costs summed in batch order.
+            total = np.add.accumulate(res.batch_costs)[-1]
+            arm_costs = surrogate_table(env, np.stack(env.arm_thetas()), T).sum(axis=0)
+            regrets.append(total - arm_costs.min())
+            if T == 80_000:
+                best_mass.append(res.distribution_history[-1, int(np.argmin(arm_costs))])
         points.append((T, float(np.mean(regrets))))
     slope = regret_slope(points)
     mass = float(np.mean(best_mass))

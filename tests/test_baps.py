@@ -3,10 +3,11 @@ import pytest
 
 from gaps.baps import BapsConfig, baps_update, min_batch_length, run_baps
 from gaps.envs import make_horizon_selection_env
-from gaps.envs.horizon import HorizonSelectionEnv, run_baps_scalar_batch
+from gaps.envs.horizon import HorizonSelectionEnv
 from gaps.errors import StateBlowup, ZeroProbabilitySampled
-from gaps.system import Box
+from gaps.system import Box, ControlSystem
 from gaps.envs.linear_feedback import LinearFeedbackEnv
+from conftest import two_state_horizon_env
 
 
 class TestUpdate:
@@ -240,8 +241,12 @@ class TestBaseHold:
 
     def test_own_cost_subclass_equals_reference_loop(self):
         env = subclass_env(make_horizon_selection_env([1, 2, 3], 1005, seed=0), 2.0)
-        assert not env._scalar_step_math()
+        assert type(env).hold is ControlSystem.hold
         assert_equals_reference(env, BapsConfig(k=3, b=50, eta=1e-3, seed=7), 1005)
+
+    def test_two_state_env_equals_reference_loop(self):
+        env = two_state_horizon_env()
+        assert_equals_reference(env, BapsConfig(k=2, b=15, eta=0.05, seed=2), env.T)
 
     def test_const_env_equals_reference_loop(self):
         env = TestRunBaps().constant_cost_env(1005, {0: 0.1, 1: 1.0})
@@ -268,50 +273,22 @@ class TestBaseHold:
         assert fast.value.t == base.value.t == step + 1
 
 
-class TestVectorizedBatch:
-    def test_matches_per_env_runs(self):
-        cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=0)
-        envs = [make_horizon_selection_env([1, 2, 3], 500, seed=100 + s) for s in range(4)]
-        seeds = [1000 + s for s in range(4)]
-        totals, dists = run_baps_scalar_batch(envs, cfg, seeds)
-        for i, (env, s) in enumerate(zip(envs, seeds)):
-            res = run_baps(env, env.arm_thetas(), BapsConfig(k=3, b=25, eta=1e-3, seed=s), 500)
-            # Sampling streams and distributions match exactly; totals only
-            # up to summation order.
-            assert np.array_equal(res.distribution_history[-1], dists[i])
-            assert res.trajectory.total_cost == pytest.approx(totals[i], rel=1e-12)
-            # Exactly: the batch costs summed in batch order.
-            assert totals[i] == np.add.accumulate(res.batch_costs)[-1]
+class TestSubclassRule:
+    """ControlSystem.__init_subclass__: a subclass never inherits a fast path
+    written for its parent's step math."""
 
-    @pytest.mark.parametrize("w50", [np.nan, 1e9])
-    def test_blowup_raises_at_the_run_baps_step(self, w50):
-        envs = [make_horizon_selection_env([1, 2, 3], 200, seed=100 + s) for s in range(3)]
-        envs[1].w[50, 0] = w50
-        seeds = [1000 + s for s in range(3)]
-        with pytest.raises(StateBlowup) as batch:
-            run_baps_scalar_batch(envs, BapsConfig(k=3, b=25, eta=1e-3, seed=0), seeds)
-        with pytest.raises(StateBlowup) as single:
-            cfg = BapsConfig(k=3, b=25, eta=1e-3, seed=seeds[1])
-            run_baps(envs[1], envs[1].arm_thetas(), cfg, 200)
-        assert batch.value.t == single.value.t == 51
-
-    def test_blowup_raises_at_the_first_listed_env(self):
-        # Env 0 blows up later than env 1; envs run one after another.
-        envs = [make_horizon_selection_env([1, 2, 3], 200, seed=100 + s) for s in range(2)]
-        envs[0].w[120, 0] = np.nan
-        envs[1].w[50, 0] = np.nan
-        with pytest.raises(StateBlowup) as info:
-            run_baps_scalar_batch(envs, BapsConfig(k=3, b=25, eta=1e-3), [1000, 1001])
-        assert info.value.t == 121
-
-    def test_refuses_env_with_its_own_step_math(self):
-        class DoubledCost(HorizonSelectionEnv):
+    def test_own_cost_gets_the_shared_loop(self):
+        class OwnCost(HorizonSelectionEnv):
             def cost(self, t, x, u):
                 return 2.0 * super().cost(t, x, u)
 
-        env = make_horizon_selection_env([1, 2, 3], 200, seed=0)
-        doubled = DoubledCost(
-            env.A[0], env.B[0], env.Q[0], env.R[0], env.Qf, env.horizons, env.w, env.w_pred
-        )
-        with pytest.raises(ValueError, match="step math"):
-            run_baps_scalar_batch([env, doubled], BapsConfig(k=3, b=25, eta=1e-3), [0, 1])
+        assert OwnCost.hold is ControlSystem.hold
+        assert OwnCost.batch_surrogate_costs is ControlSystem.batch_surrogate_costs
+
+    def test_own_jacobians_keep_the_parent_fast_paths(self):
+        class OwnJacobians(HorizonSelectionEnv):
+            def jacobians(self, t, x, theta):
+                return super().jacobians(t, x, theta)
+
+        assert OwnJacobians.hold is HorizonSelectionEnv.hold
+        assert OwnJacobians.batch_surrogate_costs is HorizonSelectionEnv.batch_surrogate_costs

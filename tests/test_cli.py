@@ -148,6 +148,8 @@ class TestRun:
         ["algorithm.params.theta0=[Infinity]"],
         ["algorithm.name=ftl", "algorithm.params.lambda0=NaN"],
         ["env.params.sigma_pred_after=NaN", "metrics.regret=false"],
+        ["env.name=dac", "env.params.radius=NaN"],
+        ["env.name=dac", "env.params.radius=Infinity"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -183,7 +185,11 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "override",
-        ["contraction.horizon=1", "contraction.pairs=0", "T=20", "contraction.pairs=true"],
+        [
+            "contraction.horizon=1", "contraction.pairs=0", "T=20", "contraction.pairs=true",
+            "contraction.R_C_probe=NaN", "contraction.R_C_probe=Infinity",
+            "contraction.eps=NaN", "contraction.eps=-1",
+        ],
     )
     def test_bad_contraction_settings_are_config_errors(self, tmp_path, capsys, override):
         argv = ["contraction", "--out", str(tmp_path / "bad"), "--override", override]

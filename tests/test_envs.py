@@ -10,7 +10,6 @@ from gaps.envs import (
     DacEnv,
     IidGaussian,
     OrnsteinUhlenbeck,
-    PiecewiseNoiseSchedule,
     ftl_confidence_baseline,
     lqr_baseline,
     make_dac_env,
@@ -24,6 +23,7 @@ from gaps.linalg import quadratic_cost, row_matmul, solve_dare
 from gaps.metrics import surrogate_table
 from gaps.system import DEFAULT_BLOWUP_CAP, Box, check_jacobians, check_state, rollout
 from gaps.validation import _qp_first_control
+from conftest import two_state_horizon_env
 
 
 class TestDisturbances:
@@ -37,12 +37,6 @@ class TestDisturbances:
     def test_ou_requires_stationary_regime(self):
         with pytest.raises(ValueError):
             OrnsteinUhlenbeck(mean_reversion=150.0, sigma=1.0, dt=0.02)
-
-    def test_schedule_lookup(self):
-        sched = PiecewiseNoiseSchedule([(0, 101, 2.0), (101, 200, 0.02)])
-        assert sched.sigma_at(100) == 2.0
-        assert sched.sigma_at(101) == 0.02
-        assert sched.sigma_at(500) == 0.0
 
 
 class TestConfidenceMpc:
@@ -276,15 +270,8 @@ class TestHorizonSelection:
         assert np.float64(new.norm).tobytes() == np.float64(ref.norm).tobytes()
 
     def test_two_state_env_runs_shared_loop(self):
-        T, horizons = 80, [1, 2]
-        rng = np.random.default_rng(8)
-        A = np.array([[1.1, 0.3], [0.0, 0.9]])
-        B = np.array([[0.0], [1.0]])
-        Q, R = np.eye(2), np.eye(1)
-        w = 0.5 * rng.standard_normal((T + 2, 2))
-        preds = np.lib.stride_tricks.sliding_window_view(w, 2, axis=0)[:T].transpose(0, 2, 1)
-        env = HorizonSelectionEnv(A, B, Q, R, solve_dare(A, B, Q, R).P, horizons, w,
-                                  preds + 0.1 * rng.standard_normal((T, 2, 2)), x0=[0.5, -0.2])
+        env = two_state_horizon_env()
+        T = env.T
         arms = np.stack(env.arm_thetas())
         table = env.batch_surrogate_costs(arms, T)
         ref = np.stack([rollout(env, theta, T=T).costs for theta in arms], axis=1)

@@ -65,3 +65,12 @@ def test_no_exported_callable_takes_a_blowup_cap():
                 if "blowup_cap" in params:
                     found.append(f"{module.__name__}.{label}")
     assert found == []
+
+
+def test_bundled_envs_bind_the_hooked_methods_in_their_own_namespace():
+    """Per-class hooks, such as the benchmark's tracer, replace these methods
+    in each env class's own namespace, so each class must bind them there
+    rather than only inherit them."""
+    names = ("policy", "dynamics", "cost", "jacobians", "batch_surrogate_costs")
+    for cls in (gaps.envs.PendulumEnv, gaps.envs.ConfidenceMpcEnv, gaps.envs.HorizonSelectionEnv):
+        assert [name for name in names if name not in vars(cls)] == [], cls.__name__
