@@ -125,7 +125,9 @@ def make_fig2_env(
     """
     if require_integer("switch_time", switch_time) < 0:
         raise ValueError(f"switch_time must be >= 0, got {switch_time}")
-    # Checked here as well: a run that ends by switch_time never draws it.
+    # Checked here, by name: a run that ends by switch_time never draws
+    # sigma_pred_after, and np.where would promote a string.
+    require_scale("sigma_pred_before", sigma_pred_before)
     require_scale("sigma_pred_after", sigma_pred_after)
     sigmas = np.where(np.arange(T) <= switch_time, sigma_pred_before, sigma_pred_after)
     return _scalar_env(T, seed, k, 2.0, 1.0, sigma_w, sigmas)
@@ -145,4 +147,5 @@ def make_constant_noise_env(
     The surrogate cost is a fixed convex quadratic in the confidence vector,
     which is the clean setting for regret-growth measurements.
     """
-    return _scalar_env(T, seed, k, a, b, sigma_w, np.full(T, sigma_pred, dtype=float))
+    sigmas = np.full(T, require_scale("sigma_pred", sigma_pred), dtype=float)
+    return _scalar_env(T, seed, k, a, b, sigma_w, sigmas)

@@ -12,8 +12,11 @@ import numpy as np
 
 
 def require_scale(name: str, value):
-    """Return value if every entry is finite and >= 0, else raise ValueError."""
-    v = np.asarray(value, dtype=float)
+    """Return value if it is numeric (no string or bool) and every entry is
+    finite and >= 0; else raise TypeError or ValueError naming it."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be a number, got {value!r}")
     if not (np.isfinite(v).all() and (v >= 0).all()):
         raise ValueError(f"{name} must be finite and >= 0")
     return value
@@ -37,7 +40,7 @@ def predicted_disturbances(
     and predictions (T, k, 1): entry [t, i] is w_{t+i} plus Gaussian noise
     scaled by pred_sigma, which broadcasts against (T, k, 1)."""
     rng = np.random.default_rng(seed)
-    w = IidGaussian(sigma_w).draw(T + k, 1, rng)
+    w = IidGaussian(require_scale("sigma_w", sigma_w)).draw(T + k, 1, rng)
     noise = rng.standard_normal((T, k, 1)) * require_scale("prediction noise scale", pred_sigma)
     windows = np.lib.stride_tricks.sliding_window_view(w[:, 0], k)[:T]
     return w, windows[:, :, None] + noise

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import require_integer
 from ..linalg import dot, finite_horizon_lq, solve_dare
 from ..system import DEFAULT_BLOWUP_CAP, Box, Trajectory, check_state
-from .disturbances import predicted_disturbances
+from .disturbances import predicted_disturbances, require_scale
 from .linear_quadratic import LinearQuadraticEnv
 
 
@@ -162,6 +162,8 @@ def make_horizon_selection_env(
     max_k = max(horizons)
     A, B, q = np.array([[a]]), np.array([[b]]), np.array([[1.0]])
     Qf = solve_dare(A, B, q, q).P
+    require_scale("sigma_pred0", sigma_pred0)
+    require_scale("pred_growth", pred_growth)
     lead_sigmas = sigma_pred0 * pred_growth ** np.arange(max_k)
     w, predictions = predicted_disturbances(T, max_k, seed, sigma_w, lead_sigmas[:, None])
     return HorizonSelectionEnv(A, B, q, q, Qf, horizons, w, predictions, x0=x0)

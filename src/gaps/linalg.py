@@ -1,7 +1,9 @@
 """Small dense Riccati solvers and step-math helpers used by the environments.
 
-Matrices here are a few rows/columns at most, so everything is plain numpy
-with deterministic fixed-point iteration rather than structured eigensolvers.
+Matrices here are a few rows/columns at most, so everything is plain numpy.
+The stationary Riccati equation is solved by structured doubling, which
+reaches the fixed point of the Riccati map in a few quadratically
+converging steps, with no eigensolver.
 Linear solves go through `solve_linear`, which runs its own partial-pivot
 elimination over Python floats only to check the pivots (numpy's solver does
 not refuse a tiny pivot) and then solves with `np.linalg.solve`. Products
@@ -110,7 +112,8 @@ class RiccatiSolution:
     """Stabilizing fixed point of the discrete algebraic Riccati map.
 
     P is the symmetric PSD cost-to-go matrix, K the feedback gain for
-    u = -K x, and residual the norm of P minus the Riccati map applied to P.
+    u = -K x, residual the norm of P minus the Riccati map applied to P, and
+    iterations the number of doubling steps taken.
     """
 
     P: np.ndarray
@@ -133,11 +136,20 @@ def solve_dare(
     tol: float = 1e-12,
     max_iter: int = 10000,
 ) -> RiccatiSolution:
-    """Solve P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA by fixed-point iteration.
+    """Solve P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA by structured doubling.
 
-    Starts from P = Q and iterates until the max-abs change drops below tol.
-    P is re-symmetrized every iteration to suppress round-off drift. Requires
-    Q PSD, R PD, and (A, B) stabilizable; a non-stabilizable pair surfaces as
+    The structure-preserving doubling algorithm (Anderson 1978; Chu, Fan,
+    Lin & Wang 2004) starts from A_0 = A, G_0 = B R^-1 B', H_0 = Q and sets,
+    with W = I + G H and all right-hand sides taken from the old values,
+
+        A <- A W^-1 A,   G <- G + A W^-1 G A',   H <- H + A' H W^-1 A.
+
+    H_k is the Riccati map iterated 2^k - 1 times from P = Q, so it converges
+    quadratically; A_k shrinks like the closed loop's 2^k-th power. Iteration
+    stops once the max-abs change of H drops below tol; P is H, symmetrized,
+    and K and the residual come from one Riccati map at P. Requires Q PSD,
+    R PD, and (A, B) stabilizable: a non-stabilizable pair squares its
+    unstable mode every step until W leaves the finite range, which raises
     NonConvergence.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -145,17 +157,30 @@ def solve_dare(
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
 
-    P = Q.copy()
-    for it in range(max_iter):
-        P_next, K = _dare_map(A, B, Q, R, P)
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) < tol:
-            P = P_next
-            mapped, K = _dare_map(A, B, Q, R, P)
-            residual = float(np.linalg.norm(P - mapped))
-            return RiccatiSolution(P=P, K=K, residual=residual, iterations=it + 1)
-        P = P_next
-    raise NonConvergence(f"DARE iteration did not converge in {max_iter} iterations")
+    n = A.shape[0]
+    eye = np.eye(n)
+    Ak, G, H = A, dot(B, solve_linear(R, B.T)), Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            W = eye + dot(G, H)
+            if not np.isfinite(W).all():
+                raise NonConvergence(
+                    f"DARE doubling step {it + 1} is not finite: an input is not"
+                    " finite or (A, B) is not stabilizable"
+                )
+            # W^-1 A and W^-1 G from one solve.
+            X = solve_linear(W, np.hstack([Ak, G]))
+            WiA, WiG = X[:, :n], X[:, n:]
+            H_next = H + dot(dot(Ak.T, H), WiA)
+            G = G + dot(dot(Ak, WiG), Ak.T)
+            Ak = dot(Ak, WiA)
+            if np.max(np.abs(H_next - H)) < tol:
+                P = 0.5 * (H_next + H_next.T)
+                mapped, K = _dare_map(A, B, Q, R, P)
+                residual = float(np.linalg.norm(P - mapped))
+                return RiccatiSolution(P=P, K=K, residual=residual, iterations=it + 1)
+            H = H_next
+    raise NonConvergence(f"DARE doubling did not converge in {max_iter} steps")
 
 
 @dataclass

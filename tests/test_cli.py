@@ -183,6 +183,23 @@ class TestRun:
         assert err.startswith("config error: ") and f"{key} must be an integer" in err
         assert not (tmp_path / "bad" / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        (['env.params.sigma_w="1.0"'], "sigma_w"),
+        (['env.params.sigma_pred_before="1.0"'], "sigma_pred_before"),
+        (["env.params.sigma_pred_after=true"], "sigma_pred_after"),
+        (["env.name=constant_noise", 'env.params.sigma_pred="1.0"'], "sigma_pred"),
+        (["env.name=horizon", "env.params.sigma_pred0=true"], "sigma_pred0"),
+        (["env.name=horizon", 'env.params.pred_growth="4"'], "pred_growth"),
+    ])
+    def test_non_numeric_scales_name_their_key(self, tmp_path, capsys, overrides, key):
+        argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} must be a number" in err
+        assert not (tmp_path / "bad" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "override",
         [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaps import linalg
 from gaps.errors import NonConvergence, SingularMatrix
 from gaps.linalg import (
     finite_horizon_lq,
@@ -57,12 +58,29 @@ class TestSolveDare:
             assert sol.residual <= 1e-10
             assert np.allclose(sol.P, sol.P.T, rtol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
     def test_nonconvergence_raises(self):
-        # Uncontrollable unstable mode cannot converge.
+        # Uncontrollable unstable mode cannot converge; doubling squares it
+        # until it leaves the finite range, with no numpy warning.
         A = np.array([[2.0, 0.0], [0.0, 2.0]])
         B = np.array([[1.0], [0.0]])
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="not finite"):
             solve_dare(A, B, np.eye(2), np.eye(1), max_iter=200)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_input_raises_within_a_few_steps(self, monkeypatch):
+        calls = []
+
+        def counted(M, rhs):
+            calls.append(M)
+            return solve_linear(M, rhs)
+
+        monkeypatch.setattr(linalg, "solve_linear", counted)
+        A = np.array([[1.0, np.nan], [0.0, 0.5]])
+        B = np.array([[1.0], [0.0]])
+        with pytest.raises(NonConvergence, match="not finite"):
+            solve_dare(A, B, np.eye(2), np.eye(1))
+        assert len(calls) <= 4
 
 
 class TestFiniteHorizonLq:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, GapsState, gaps_step, run_gaps
-from gaps.envs import IidGaussian, OrnsteinUhlenbeck, make_pendulum_env
+from gaps.envs import IidGaussian, OrnsteinUhlenbeck, make_dac_env, make_pendulum_env
 from gaps.envs.horizon import make_horizon_selection_env
 from gaps.envs.pendulum import DAMPING, DT, GRAVITY, LENGTH, PendulumParams
 from gaps.errors import NonFiniteGradient, SingularMatrix
@@ -158,6 +158,19 @@ def ref_solve_dare(A, B, Q, R, tol=1e-12):
         P = P_next
 
 
+def relative_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def assert_dare_matches_plain_iteration(A, B, Q, R):
+    P, K = ref_solve_dare(A, B, Q, R)
+    sol = solve_dare(A, B, Q, R)
+    assert relative_error(sol.P, P) <= 1e-12 and relative_error(sol.K, K) <= 1e-12
+    assert sol.residual <= 1e-13
+    assert sol.iterations <= 12
+    return sol
+
+
 def assert_same_jacobians(a, b):
     for name in ("dg_dx", "dg_du", "dpi_dx", "dpi_dtheta", "df_dx", "df_du"):
         assert same(getattr(a, name), getattr(b, name)), name
@@ -272,22 +285,30 @@ class TestLinalg:
         jac = StepJacobians(dg_dx, dg_du, dpi_dx, np.zeros((5, 1, 2)), np.zeros(2), np.zeros(1))
         assert same(jac.closed_loop(), dg_dx + dg_du @ dpi_dx)
 
+    # solve_dare doubles where the plain loop iterates the Riccati map once
+    # per step, so the two agree to rounding, not bit for bit. At most 12
+    # steps: a solver that fell back to linear convergence would take ~250
+    # on the pendulum.
+
     @pytest.mark.parametrize("mass", [1.0, 0.8, 1.3])
     def test_pendulum_dare_matches_plain_iteration(self, mass):
         env = make_pendulum_env(10, np.zeros(10), seed=0)
         A, B = env.linearization(mass)
-        P, K = ref_solve_dare(A, B, env.Q, env.R)
-        sol = solve_dare(A, B, env.Q, env.R)
-        assert same(sol.P, P) and same(sol.K, K)
+        assert_dare_matches_plain_iteration(A, B, env.Q, env.R)
 
     def test_scalar_dare_matches_plain_iteration(self):
         # The fig2 and horizon systems: x' = 2x + u with unit costs.
         A, B, Q, R = (np.array([[v]]) for v in (2.0, 1.0, 1.0, 1.0))
-        P, K = ref_solve_dare(A, B, Q, R)
-        sol = solve_dare(A, B, Q, R)
-        assert same(sol.P, P) and same(sol.K, K)
+        sol = assert_dare_matches_plain_iteration(A, B, Q, R)
         env = make_horizon_selection_env([1, 2, 3], T=20, seed=0)
-        assert same(env.Qf, P)
+        assert same(env.Qf, sol.P)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dac_stabilizing_gains_match_plain_iteration(self, n):
+        env = make_dac_env(T=30, seed=0, n=n)
+        for t in range(env.T):
+            _, K = ref_solve_dare(env.A[t], env.B[t], env.Q[t], env.R[t])
+            assert relative_error(env.K_stb[t], K) <= 1e-12
 
     def test_solve_linear_pivot_check_matches_plain_elimination(self):
         rng = np.random.default_rng(5)
