@@ -209,34 +209,33 @@ def build_env(config: dict):
     return _from_config("env.params", _make_env, name, params, config["T"], seed)
 
 
+# Pendulum disturbance kinds: the spec's constructor and its defaults, which
+# are also the keys a spec of that kind may set besides "kind".
+_DISTURBANCES = {
+    "iid": (env_mod.IidGaussian, {"sigma": 1.0}),
+    "ou": (env_mod.OrnsteinUhlenbeck, {"mean_reversion": 2.0, "sigma": 3.0, "dt": 0.02}),
+}
+
+
 def _make_env(name: str, params: dict, T: int, seed: int):
     if name == "fig2":
         return env_mod.make_fig2_env(T=T, seed=seed, **params)
     if name == "constant_noise":
         return env_mod.make_constant_noise_env(T=T, seed=seed, **params)
     if name == "pendulum":
+        from .envs.pendulum import PendulumParams
+
         spec = params.pop("disturbance", {"kind": "iid", "sigma": 1.0})
         if not isinstance(spec, dict):
             raise ValueError(f"disturbance must be an object, got {spec!r}")
         kind = spec.get("kind", "iid")
-        if kind == "iid":
-            dist = env_mod.IidGaussian(spec.get("sigma", 1.0))
-        elif kind == "ou":
-            dist = env_mod.OrnsteinUhlenbeck(
-                mean_reversion=spec.get("mean_reversion", 2.0),
-                sigma=spec.get("sigma", 3.0),
-                dt=spec.get("dt", 0.02),
-            )
-        else:
+        if not isinstance(kind, str) or kind not in _DISTURBANCES:
             raise ConfigError(f"unknown disturbance kind {kind!r}")
-        from .envs.pendulum import PendulumParams
-
-        pparams = PendulumParams()
-        if "switch_period" in params:
-            pparams.switch_period = float(params["switch_period"])
-        if "masses" in params:
-            pparams.masses = tuple(params["masses"])
-        return env_mod.make_pendulum_env(T, dist, seed=seed, params=pparams)
+        make, defaults = _DISTURBANCES[kind]
+        _check_keys(spec, {"kind", *defaults}, "env.params.disturbance.")
+        fields = {key: value for key, value in spec.items() if key != "kind"}
+        dist = make(**{**defaults, **fields})
+        return env_mod.make_pendulum_env(T, dist, seed=seed, params=PendulumParams(**params))
     if name == "dac":
         return env_mod.make_dac_env(T, seed=seed, **params)
     if name == "horizon":
@@ -258,28 +257,17 @@ def run_algorithm(config: dict, env):
     params = dict(config["algorithm"].get("params", {}))
     T = config["T"]
     env_name = config["env"]["name"]
-    if name == "gaps":
-        theta0 = params.get("theta0", _default_theta0(env, env_name))
+    if name in ("gaps", "ogd"):
         cfg = _from_config(
             "algorithm.params",
             GapsConfig,
             eta=params.get("eta", 0.05),
-            B=params.get("B", 32),
-            theta0=theta0,
+            B=params.get("B", 32) if name == "gaps" else 1,
+            theta0=params.get("theta0", _default_theta0(env, env_name)),
             set=env.theta_set,
         )
-        return run_gaps(env, cfg, T), {}
-    if name == "ogd":
-        theta0 = params.get("theta0", _default_theta0(env, env_name))
-        cfg = _from_config(
-            "algorithm.params",
-            GapsConfig,
-            eta=params.get("eta", 0.05),
-            B=1,
-            theta0=theta0,
-            set=env.theta_set,
-        )
-        return run_ideal_ogd(env, cfg, T), {}
+        runner = run_gaps if name == "gaps" else run_ideal_ogd
+        return runner(env, cfg, T), {}
     if name == "baps":
         arms = env.arm_thetas()
         if arms is None:

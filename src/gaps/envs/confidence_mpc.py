@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import require_integer
-from ..linalg import finite_horizon_lq, row_matmul, solve_dare
+from ..linalg import finite_horizon_lq, row_matmul
 from ..system import Box
 from .disturbances import predicted_disturbances, require_scale
-from .linear_quadratic import LinearQuadraticEnv
+from .linear_quadratic import LinearQuadraticEnv, scalar_model
 
 
 class ConfidenceMpcEnv(LinearQuadraticEnv):
@@ -98,9 +98,8 @@ def _scalar_env(T, seed, k, a, b, sigma_w, pred_sigmas) -> ConfidenceMpcEnv:
     """x' = a x + b u + w with cost x^2 + u^2 and the stationary Riccati
     solution as terminal planner cost. At step t, the prediction of each
     w_{t+i} carries Gaussian noise of scale pred_sigmas[t]."""
-    A, B, q = np.array([[a]]), np.array([[b]]), np.array([[1.0]])
+    A, B, q, qf = scalar_model(a, b)
     w, predictions = predicted_disturbances(T, k, seed, sigma_w, pred_sigmas[:, None, None])
-    qf = solve_dare(A, B, q, q).P
     return ConfidenceMpcEnv(A, B, q, q, qf, k, w, predictions)
 
 

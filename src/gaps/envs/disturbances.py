@@ -10,15 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import require_real
+
 
 def require_scale(name: str, value):
-    """Return value if it is numeric (no string or bool) and every entry is
-    finite and >= 0; else raise TypeError or ValueError naming it."""
-    v = np.asarray(value)
-    if v.dtype.kind not in "iuf":
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not (np.isfinite(v).all() and (v >= 0).all()):
-        raise ValueError(f"{name} must be finite and >= 0")
+    """Return value if it is a number, or an array of numbers, each passing
+    require_real and >= 0; else raise TypeError or ValueError naming it."""
+    for entry in np.ravel(value).tolist():
+        if require_real(name, entry) < 0:
+            raise ValueError(f"{name} must be >= 0, got {entry!r}")
     return value
 
 
@@ -60,7 +60,7 @@ class OrnsteinUhlenbeck:
     dt: float
 
     def __post_init__(self):
-        a = self.mean_reversion * self.dt
+        a = require_real("mean_reversion", self.mean_reversion) * require_real("dt", self.dt)
         if not 0.0 < a < 2.0:
             raise ValueError("need 0 < mean_reversion * dt < 2 for a stationary walk")
         require_scale("sigma", self.sigma)

@@ -33,17 +33,20 @@ class _FtlSelector:
     def observe(self, t, x, u, cost):
         # One-step counterfactual cost in lambda: with u(l) = u0 - l * h and
         # x+(l) = x0+ - l * B h, the quadratic u'Ru + x+'Qf x+ has
-        # coefficients alpha, beta below.
+        # coefficients alpha, beta below. The env's Jacobians at the step
+        # give -K, -h and B; its dynamics give x0+.
         env = self.env
-        K, _ = env._plan(t)
-        h = env.feedforward_terms(t)[0]  # (m,), lead-0 prediction response
-        u0 = -K @ x
-        Bh = env.B[t] @ h
-        x_next0 = env.A[t] @ x + env.B[t] @ u0 + env.w[t]
+        jac = env.jacobians(t, x, self.propose(t, x))
+        h = -jac.dpi_dtheta[:, 0]  # (m,), lead-0 prediction response
+        u0 = jac.dpi_dx @ x
+        Bh = jac.dg_du @ h
+        x_next0 = env.dynamics(t, x, u0)
         self.sum_quad += float(h @ env.R[t] @ h + Bh @ env.Qf @ Bh)
         self.sum_lin += float(-2.0 * (h @ env.R[t] @ u0) - 2.0 * (Bh @ env.Qf @ x_next0))
         if self.sum_quad > 1e-12:
-            self.lam = float(np.clip(-self.sum_lin / (2.0 * self.sum_quad), 0.0, 1.0))
+            # np.clip's bits on a Python float, NaN and signed zeros included,
+            # without its call overhead.
+            self.lam = min(max(-self.sum_lin / (2.0 * self.sum_quad), 0.0), 1.0)
         return None
 
 

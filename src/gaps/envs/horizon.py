@@ -15,10 +15,10 @@ import itertools
 import numpy as np
 
 from ..errors import require_integer
-from ..linalg import dot, finite_horizon_lq, solve_dare
+from ..linalg import dot, finite_horizon_lq
 from ..system import DEFAULT_BLOWUP_CAP, Box, Trajectory, check_state
 from .disturbances import predicted_disturbances, require_scale
-from .linear_quadratic import LinearQuadraticEnv
+from .linear_quadratic import LinearQuadraticEnv, scalar_model
 
 
 class HorizonSelectionEnv(LinearQuadraticEnv):
@@ -160,8 +160,7 @@ def make_horizon_selection_env(
     mostly garbage; the cost-optimal horizon is interior and well separated.
     """
     max_k = max(horizons)
-    A, B, q = np.array([[a]]), np.array([[b]]), np.array([[1.0]])
-    Qf = solve_dare(A, B, q, q).P
+    A, B, q, Qf = scalar_model(a, b)
     require_scale("sigma_pred0", sigma_pred0)
     require_scale("pred_growth", pred_growth)
     lead_sigmas = sigma_pred0 * pred_growth ** np.arange(max_k)

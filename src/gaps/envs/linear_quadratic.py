@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import per_step, quadratic_cost, row_matmul
+from ..errors import NonConvergence, require_real
+from ..linalg import per_step, quadratic_cost, row_matmul, solve_dare
 from ..system import ControlSystem, StepJacobians
 
 
@@ -55,3 +56,18 @@ class LinearQuadraticEnv(ControlSystem):
 
     dynamics_lanes = dynamics
     cost_lanes = cost
+
+
+def scalar_model(a, b):
+    """A = [[a]], B = [[b]], unit weights Q = R = [[1]], and the stationary
+    Riccati solution as terminal cost Qf, for x' = a x + b u + w with cost
+    x^2 + u^2. a and b must be finite reals and (a, b) stabilizable; else
+    TypeError or ValueError naming them."""
+    A = np.array([[require_real("a", a)]], dtype=float)
+    B = np.array([[require_real("b", b)]], dtype=float)
+    q = np.array([[1.0]])
+    try:
+        Qf = solve_dare(A, B, q, q).P
+    except NonConvergence as exc:
+        raise ValueError(f"a={a!r}, b={b!r}: {exc}") from None
+    return A, B, q, Qf

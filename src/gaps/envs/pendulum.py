@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import require_real
 from ..linalg import quadratic_cost, solve_dare
 from ..system import Box, ControlSystem, ParameterSet, StepJacobians, Trajectory
 from .disturbances import IidGaussian, OrnsteinUhlenbeck
@@ -50,10 +51,10 @@ class PendulumEnv(ControlSystem):
             raise ValueError("disturbance sequence shorter than T")
         if len(self.p.masses) == 0:
             raise ValueError("the mass schedule needs at least one mass")
-        if not all(math.isfinite(mass) and mass > 0 for mass in self.p.masses):
+        if not all(require_real("every entry of masses", mass) > 0 for mass in self.p.masses):
             raise ValueError(f"masses must be positive and finite, got {list(self.p.masses)}")
         period = self.p.switch_period
-        if not (math.isfinite(period) and period > 0):
+        if not require_real("switch_period", period) > 0:
             raise ValueError(f"switch_period must be positive and finite, got {period}")
         self.T = int(T)
         self.n = 2

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the check that an integer
-setting is one."""
+"""Exception types shared across the package, and the checks that an integer
+or real setting is one."""
 
+import math
 import numbers
 
 
@@ -9,6 +10,16 @@ def require_integer(name: str, value):
     TypeError naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_real(name: str, value):
+    """Return value if it is a finite real number (a bool is not), else raise
+    TypeError or ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

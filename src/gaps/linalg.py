@@ -21,6 +21,9 @@ from .errors import NonConvergence, SingularMatrix
 
 # Pivot magnitude below which a matrix is treated as singular.
 PIVOT_TOL = 1e-12
+# solve_dare's stopping tolerance (max-abs change of P) and step limit.
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 10000
 
 
 def solve_linear(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,8 +136,6 @@ def solve_dare(
     B: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> RiccatiSolution:
     """Solve P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA by structured doubling.
 
@@ -146,11 +147,11 @@ def solve_dare(
 
     H_k is the Riccati map iterated 2^k - 1 times from P = Q, so it converges
     quadratically; A_k shrinks like the closed loop's 2^k-th power. Iteration
-    stops once the max-abs change of H drops below tol; P is H, symmetrized,
-    and K and the residual come from one Riccati map at P. Requires Q PSD,
-    R PD, and (A, B) stabilizable: a non-stabilizable pair squares its
-    unstable mode every step until W leaves the finite range, which raises
-    NonConvergence.
+    stops once the max-abs change of H drops below DARE_TOL, within
+    DARE_MAX_ITER steps; P is H, symmetrized, and K and the residual come
+    from one Riccati map at P. Requires Q PSD, R PD, and (A, B)
+    stabilizable: a non-stabilizable pair squares its unstable mode every
+    step until W leaves the finite range, which raises NonConvergence.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -161,7 +162,7 @@ def solve_dare(
     eye = np.eye(n)
     Ak, G, H = A, dot(B, solve_linear(R, B.T)), Q
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
+        for it in range(DARE_MAX_ITER):
             W = eye + dot(G, H)
             if not np.isfinite(W).all():
                 raise NonConvergence(
@@ -174,13 +175,13 @@ def solve_dare(
             H_next = H + dot(dot(Ak.T, H), WiA)
             G = G + dot(dot(Ak, WiG), Ak.T)
             Ak = dot(Ak, WiA)
-            if np.max(np.abs(H_next - H)) < tol:
+            if np.max(np.abs(H_next - H)) < DARE_TOL:
                 P = 0.5 * (H_next + H_next.T)
                 mapped, K = _dare_map(A, B, Q, R, P)
                 residual = float(np.linalg.norm(P - mapped))
                 return RiccatiSolution(P=P, K=K, residual=residual, iterations=it + 1)
             H = H_next
-    raise NonConvergence(f"DARE doubling did not converge in {max_iter} steps")
+    raise NonConvergence(f"DARE doubling did not converge in {DARE_MAX_ITER} steps")
 
 
 @dataclass
@@ -228,13 +229,8 @@ def finite_horizon_lq(
     gains = [None] * k
     cost_to_go[k] = Qf
     for j in reversed(range(k)):
-        A, B, Q, R = A_seq[j], B_seq[j], Q_seq[j], R_seq[j]
-        P_next = cost_to_go[j + 1]
-        BtP = B.T @ P_next
-        K = solve_linear(R + BtP @ B, BtP @ A)
-        P = Q + A.T @ P_next @ (A - B @ K)
+        P, gains[j] = _dare_map(A_seq[j], B_seq[j], Q_seq[j], R_seq[j], cost_to_go[j + 1])
         cost_to_go[j] = 0.5 * (P + P.T)
-        gains[j] = K
 
     # Feedforward maps for the first control. The linear value term obeys
     # s_j = (A_j - B_j K_j)' (P_{j+1} v_j + s_{j+1}) with s_k = 0, and

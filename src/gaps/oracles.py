@@ -12,7 +12,10 @@ lane-axis call of the system per step, so the surrogates F_t(theta_t) of a
 whole T-step parameter path cost one T-step pass instead of T
 resimulations. Gradients come from the forward sensitivity recursion
 S <- A_cl S + dg_du dpi_dtheta carried along each lane (forward-mode RTRL,
-Williams & Zipser 1989, untruncated).
+Williams & Zipser 1989, untruncated). The reset-based finite-memory
+baseline, `finite_memory_gradient`, plays its window as one
+`ControlSystem.hold` call and runs the same recursion over its states,
+truncated to B terms.
 """
 
 from __future__ import annotations
@@ -154,30 +157,26 @@ def finite_memory_gradient(
 ) -> FiniteMemoryGradient:
     """Truncated-memory estimator that resets the state B steps back.
 
-    Resimulates from the zero state at time t - B with theta held constant
-    and accumulates the cost partials with respect to the B most recent
-    parameters. Reports the policy-evaluation count (B + 1 per call) for the
-    computational comparison against the streaming selector, which needs
-    exactly one policy evaluation per step.
+    Plays theta from the zero state at step t - B as one `system.hold`
+    window, then accumulates the cost partials with respect to the B most
+    recent parameters along its states. Reports the policy-evaluation count
+    (B + 1 per call) for the computational comparison against the streaming
+    selector, which needs exactly one policy evaluation per step. A window
+    state past DEFAULT_BLOWUP_CAP, or not finite, raises `hold`'s
+    StateBlowup at its step.
     """
     if t < B:
         raise ValueError(f"finite-memory estimator needs t >= B, got t={t}, B={B}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.zeros(system.n)
+    seg = system.hold(t - B, np.zeros(system.n), theta, B)
     S = np.zeros((system.n, system.d))
-    policy_evals = 0
-    for tau in range(t - B, t):
-        check_state(tau, x)
-        jac = system.jacobians(tau, x, theta)
-        u = system.policy(tau, x, theta)
-        policy_evals += 1
+    for i, x in enumerate(seg.states):
+        jac = system.jacobians(t - B + i, x, theta)
         # The parameter acting at the reset step itself lies outside the
         # B-term memory window, so its injection is skipped.
         S = jac.closed_loop() @ S
-        if tau > t - B:
+        if i > 0:
             S = S + jac.dg_du @ jac.dpi_dtheta
-        x = system.dynamics(tau, x, u)
-    jac = system.jacobians(t, x, theta)
-    policy_evals += 1
+    jac = system.jacobians(t, seg.final_state, theta)
     grad = jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
-    return FiniteMemoryGradient(grad=grad, policy_evals=policy_evals)
+    return FiniteMemoryGradient(grad=grad, policy_evals=B + 1)

@@ -11,8 +11,9 @@ The one per-step loop is `closed_loop(system, selector, T)`: it observes
 x_t, asks the selector for theta_t, plays the policy, and hands the step
 back to the selector. `rollout`, the streaming runners and the
 follow-the-leader baseline are one call of it each; BAPS plays one
-`ControlSystem.hold` per batch, which by default is `closed_loop` started
-at the batch's step and state.
+`ControlSystem.hold` per batch, and the finite-memory estimator one per
+call, which by default is `closed_loop` started at the given step and
+state.
 """
 
 from __future__ import annotations

@@ -150,6 +150,20 @@ class TestRun:
         ["env.params.sigma_pred_after=NaN", "metrics.regret=false"],
         ["env.name=dac", "env.params.radius=NaN"],
         ["env.name=dac", "env.params.radius=Infinity"],
+        ["env.name=horizon", 'env.params.a="2.0"'],
+        ["env.name=horizon", "env.params.b=true"],
+        ["env.name=constant_noise", "env.params.a=true"],
+        ["env.name=constant_noise", 'env.params.b="1"'],
+        ["env.name=pendulum", "env.params.switch_period=true"],
+        ["env.name=pendulum", 'env.params.switch_period="20"'],
+        ["env.name=pendulum", "env.params.masses=[true,1.3]"],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","mean_reversion":true}'],
+        ["env.name=horizon", "env.params.a=NaN"],
+        ["env.name=horizon", "env.params.a=Infinity"],
+        ["env.name=horizon", "env.params.b=0"],
+        ["env.name=constant_noise", "env.params.b=0"],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"iid","sigm":5.0}'],
+        ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","sigma":3.0,"theta":1}'],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -190,6 +204,15 @@ class TestRun:
         (["env.name=constant_noise", 'env.params.sigma_pred="1.0"'], "sigma_pred"),
         (["env.name=horizon", "env.params.sigma_pred0=true"], "sigma_pred0"),
         (["env.name=horizon", 'env.params.pred_growth="4"'], "pred_growth"),
+        (["env.name=horizon", 'env.params.a="2.0"'], "a"),
+        (["env.name=horizon", "env.params.b=true"], "b"),
+        (["env.name=constant_noise", "env.params.a=true"], "a"),
+        (["env.name=constant_noise", 'env.params.b="1"'], "b"),
+        (["env.name=pendulum", "env.params.switch_period=true"], "switch_period"),
+        (["env.name=pendulum", 'env.params.switch_period="20"'], "switch_period"),
+        (["env.name=pendulum", "env.params.masses=[true,1.3]"], "masses"),
+        (["env.name=pendulum", 'env.params.disturbance={"kind":"ou","mean_reversion":true}'],
+         "mean_reversion"),
     ])
     def test_non_numeric_scales_name_their_key(self, tmp_path, capsys, overrides, key):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -199,6 +222,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{key} must be a number" in err
         assert not (tmp_path / "bad" / "report.json").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["env.name=horizon", "env.params.a=NaN"], "a must be finite"),
+        (["env.name=horizon", "env.params.a=Infinity"], "a must be finite"),
+        (["env.name=horizon", "env.params.b=0"], "a=2.0, b=0: "),
+        (["env.name=constant_noise", "env.params.b=0"], "a=2.0, b=0: "),
+        (["env.name=pendulum", 'env.params.disturbance={"kind":"iid","sigm":5.0}'],
+         "unknown config key 'env.params.disturbance.sigm'"),
+        (["env.name=pendulum", 'env.params.disturbance={"kind":"ou","theta":1}'],
+         "unknown config key 'env.params.disturbance.theta'"),
+    ])
+    def test_bad_dynamics_and_disturbance_keys_are_named(
+        self, tmp_path, capsys, overrides, message
+    ):
+        # A misspelt disturbance key would otherwise run at the default
+        # scale, and a non-finite a or an unstabilizable pair would reach the
+        # Riccati solver and fail there.
+        argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "bad" / "report.json").exists()
+
+    def test_stable_scalar_system_needs_no_input(self, tmp_path):
+        # |a| < 1 is stabilizable with b = 0.
+        argv = ["run", "--out", str(tmp_path / "ok"), "--override", "T=20",
+                "--override", "env.name=constant_noise", "--override", "env.params.a=0.5",
+                "--override", "env.params.b=0"]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize(
         "override",

@@ -54,7 +54,7 @@ class TestSolveDare:
             B = rng.uniform(-1, 1, (n, m))
             Q = np.eye(n) * rng.uniform(0.5, 2.0)
             R = np.eye(m) * rng.uniform(0.5, 2.0)
-            sol = solve_dare(A, B, Q, R, tol=1e-12)
+            sol = solve_dare(A, B, Q, R)
             assert sol.residual <= 1e-10
             assert np.allclose(sol.P, sol.P.T, rtol=1e-10)
 
@@ -65,7 +65,7 @@ class TestSolveDare:
         A = np.array([[2.0, 0.0], [0.0, 2.0]])
         B = np.array([[1.0], [0.0]])
         with pytest.raises(NonConvergence, match="not finite"):
-            solve_dare(A, B, np.eye(2), np.eye(1), max_iter=200)
+            solve_dare(A, B, np.eye(2), np.eye(1))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_input_raises_within_a_few_steps(self, monkeypatch):
@@ -158,6 +158,32 @@ class TestFiniteHorizonLq:
             finite_horizon_lq(
                 [scalar(1)], [scalar(0)], [scalar(1)], [scalar(0)], scalar(1), 1
             )
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_backward_pass_matches_matmul_form(self, time_varying):
+        # The backward step written with `@`, as before it called the
+        # Riccati map of solve_dare: gains and cost-to-go match bit for bit.
+        rng = np.random.default_rng(31 + time_varying)
+        for _ in range(60):
+            n, m, k = (int(v) for v in rng.integers(1, [4, 4, 5]))
+            count = k if time_varying else 1
+            A = [rng.uniform(-1.5, 1.5, (n, n)) for _ in range(count)] * (k // count)
+            B = [rng.uniform(-1, 1, (n, m)) for _ in range(count)] * (k // count)
+            Q = [np.diag(rng.uniform(0.1, 2, n)) for _ in range(count)] * (k // count)
+            R = [np.diag(rng.uniform(0.1, 2, m)) for _ in range(count)] * (k // count)
+            Qf = np.diag(rng.uniform(0.1, 2, n))
+
+            P_ref, gains_ref = [None] * (k + 1), [None] * k
+            P_ref[k] = Qf
+            for j in reversed(range(k)):
+                BtP = B[j].T @ P_ref[j + 1]
+                K = solve_linear(R[j] + BtP @ B[j], BtP @ A[j])
+                P = Q[j] + A[j].T @ P_ref[j + 1] @ (A[j] - B[j] @ K)
+                P_ref[j], gains_ref[j] = 0.5 * (P + P.T), K
+
+            sol = finite_horizon_lq(A, B, Q, R, Qf, k)
+            for got, want in zip(sol.gains + sol.cost_to_go, gains_ref + P_ref):
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 def test_solve_linear_rejects_singular():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gaps.core import GapsConfig, run_gaps
-from gaps.envs import make_fig2_env, make_pendulum_env
+from gaps.envs import IidGaussian, make_dac_env, make_fig2_env, make_pendulum_env
+from gaps.envs.horizon import make_horizon_selection_env
 from gaps.envs.confidence_mpc import ConfidenceMpcEnv
 from gaps.envs.linear_feedback import LinearFeedbackEnv
 from gaps.errors import StateBlowup
@@ -15,8 +16,8 @@ from gaps.oracles import (
     surrogate_cost,
     surrogates,
 )
-from gaps.system import Box
-from conftest import TanhSystem, random_tanh_system
+from gaps.system import Box, check_state
+from conftest import TanhSystem, random_tanh_system, two_state_horizon_env
 
 
 def quiet_scalar_env(T, w=None, preds=None):
@@ -184,6 +185,82 @@ class TestFiniteMemory:
     def test_requires_enough_history(self, tanh_system):
         with pytest.raises(ValueError):
             finite_memory_gradient(tanh_system, np.zeros(2), 3, 5)
+
+
+def reference_finite_memory(system, theta, t, B):
+    """finite_memory_gradient's grad as its own per-step loop computed it,
+    before the window was played through `system.hold`."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x = np.zeros(system.n)
+    S = np.zeros((system.n, system.d))
+    for tau in range(t - B, t):
+        check_state(tau, x)
+        jac = system.jacobians(tau, x, theta)
+        u = system.policy(tau, x, theta)
+        S = jac.closed_loop() @ S
+        if tau > t - B:
+            S = S + jac.dg_du @ jac.dpi_dtheta
+        x = system.dynamics(tau, x, u)
+    jac = system.jacobians(t, x, theta)
+    return jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+
+
+class _NanOffsetTanh(TanhSystem):
+    """TanhSystem whose dynamics offset is NaN at one step."""
+
+    nan_step = None
+
+    def _offset(self, t):
+        return np.full(self.n, np.nan) if t == self.nan_step else super()._offset(t)
+
+
+def _poison_w(env, step):
+    env.w[step] = np.nan
+
+
+def _poison_offset(system, step):
+    system.nan_step = step
+
+
+# name: (system builder, theta, how to make the disturbance at a step NaN).
+# The scalar horizon env plays its window as one `_hold` segment; the
+# two-state one runs the shared loop.
+FINITE_MEMORY_CASES = {
+    "fig2": (lambda: make_fig2_env(T=80, seed=3), [0.6], _poison_w),
+    "pendulum": (
+        lambda: make_pendulum_env(80, IidGaussian(1.0), seed=2), [25.0, 8.0], _poison_w
+    ),
+    "dac-n2": (lambda: make_dac_env(80, seed=4, n=2), np.full(6, 0.1), _poison_w),
+    "horizon-scalar": (
+        lambda: make_horizon_selection_env([1, 2, 3], 80, seed=5), [1.0], _poison_w
+    ),
+    "horizon-two-state": (two_state_horizon_env, [1.0], _poison_w),
+    "tanh": (lambda: _NanOffsetTanh(seed=42), [0.3, -0.4], _poison_offset),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_MEMORY_CASES))
+class TestFiniteMemoryReference:
+    def test_grad_matches_per_step_loop(self, case):
+        build, theta, _ = FINITE_MEMORY_CASES[case]
+        system = build()
+        for t, B in [(0, 0), (5, 1), (40, 6), (79, 17), (30, 30)]:
+            got = finite_memory_gradient(system, theta, t, B).grad
+            want = reference_finite_memory(system, theta, t, B)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_blowup_matches_per_step_loop(self, case):
+        build, theta, poison = FINITE_MEMORY_CASES[case]
+        system = build()
+        poison(system, 36)  # the state at step 37 is NaN
+        raised = []
+        for run in (finite_memory_gradient, reference_finite_memory):
+            with pytest.raises(StateBlowup) as info:
+                run(system, theta, 40, 6)
+            raised.append(info.value)
+        got, want = raised
+        assert got.t == want.t == 37
+        assert np.float64(got.norm).tobytes() == np.float64(want.norm).tobytes()
 
 
 def per_state_surrogate(system, theta, t):
