@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilitySampled, require_integer
+from .errors import ZeroProbabilitySampled, require_integer, require_real
 from .system import ControlSystem, Trajectory
 
 # Above this exponent the multiplicative update switches to log-space.
@@ -35,7 +35,7 @@ class BapsConfig:
             raise ValueError("need at least 2 arms")
         if require_integer("b", self.b) < 1:
             raise ValueError("batch size must be >= 1")
-        if not 0 <= self.eta < math.inf:
+        if not require_real("eta", self.eta) >= 0:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
     @classmethod

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, require_integer
+from .errors import DimensionMismatch, NonFiniteGradient, require_integer, require_real
 from .linalg import dot
 from .system import (
+    ClosedLoopJacobians,
     ControlSystem,
     ParameterSet,
-    StepJacobians,
     Trajectory,
     closed_loop,
 )
@@ -48,7 +48,7 @@ class GapsConfig:
 
     def __post_init__(self):
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        if not 0 <= self.eta < math.inf:
+        if not require_real("eta", self.eta) >= 0:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if require_integer("buffer length B", self.B) < 1:
             raise ValueError("buffer length B must be >= 1")
@@ -84,9 +84,10 @@ class GapsState:
 
 
 def gaps_step(
-    state: GapsState, jac: StepJacobians, config: GapsConfig
+    state: GapsState, cl: ClosedLoopJacobians, config: GapsConfig
 ) -> tuple[np.ndarray, GapsState]:
-    """One online update from the Jacobians of the step just taken.
+    """One online update from the closed-loop Jacobians of the step just
+    taken.
 
     Returns (G_t, next_state): the truncated cost gradient with respect to
     the last min(B, t+1) parameters, and the advanced state whose theta is
@@ -109,30 +110,30 @@ def gaps_step(
     # lag acts only through the current state. A running sum (np.cumsum's
     # ufunc, without its wrapper) adds the lags in lag order, as a
     # one-by-one sum would; a plain sum may reduce pairwise.
-    grad = dot(jac.df_du, jac.dpi_dtheta)
+    grad = cl.c_theta
     if k:
-        grad = grad + dot(jac.dcost_dx_closed(), np.add.accumulate(state.ring)[-1])
+        grad = grad + dot(cl.c_x, np.add.accumulate(state.ring)[-1])
     # A finite squared norm means finite entries; the entries are looked at
     # only when it is not, since it also overflows for large finite ones.
     if not math.isfinite(grad.dot(grad)) and not np.isfinite(grad).all():
         raise NonFiniteGradient(f"gradient at t={state.t} contains NaN/Inf")
 
-    # Ring update: dg_du @ dpi_dtheta becomes lag 1, every kept lag ages by
-    # one closed-loop step, and lag B-1 drops. The ring is stored as the
+    # Ring update: the injection B_theta becomes lag 1, every kept lag ages
+    # by one closed-loop step, and lag B-1 drops. The ring is stored as the
     # block row [M_1 | M_2 | ... | M_k] of shape (n, k*d), so aging all lags
     # is the single product A_cl @ [M_1 | ... | M_{B-2}]; `ring` is a
     # (k, n, d) view of it.
-    n = jac.dg_du.shape[0]
+    n = cl.A_cl.shape[0]
     if config.B == 1:
         ring = np.empty((0, n, d))
     else:
         kept = state.ring[: config.B - 2]
         block = np.empty((n, (len(kept) + 1) * d))
-        block[:, :d] = dot(jac.dg_du, jac.dpi_dtheta)
+        block[:, :d] = cl.B_theta
         if len(kept):
             # np.dot refuses the non-contiguous out slice; np.matmul takes it.
             kept_block = kept.transpose(1, 0, 2).reshape(n, -1)
-            np.matmul(jac.closed_loop(), kept_block, out=block[:, d:])
+            np.matmul(cl.A_cl, kept_block, out=block[:, d:])
         ring = block.reshape(n, -1, d).transpose(1, 0, 2)
 
     theta_next = config.set.project(state.theta - config.eta * grad)
@@ -141,7 +142,7 @@ def gaps_step(
 
 class _GapsSelector:
     """Plays the current theta; each observed step feeds its visited-point
-    Jacobians to gaps_step and returns G_t."""
+    closed-loop Jacobians to gaps_step and returns G_t."""
 
     def __init__(self, system: ControlSystem, config: GapsConfig):
         self.system = system
@@ -152,8 +153,8 @@ class _GapsSelector:
         return self.state.theta
 
     def observe(self, t, x, u, cost):
-        jac = self.system.jacobians(t, x, self.state.theta)
-        grad, self.state = gaps_step(self.state, jac, self.config)
+        cl = self.system.closed_loop_jacobians(t, x, self.state.theta)
+        grad, self.state = gaps_step(self.state, cl, self.config)
         return grad
 
 
@@ -161,7 +162,7 @@ def run_gaps(system: ControlSystem, config: GapsConfig, T: int) -> Trajectory:
     """Run the closed loop for T steps, adapting theta online.
 
     Each step of `closed_loop` acts with the current theta_t and feeds the
-    visited-point Jacobians to the ring update. The returned trajectory
-    records theta_t and G_t per step.
+    visited-point closed-loop Jacobians to the ring update. The returned
+    trajectory records theta_t and G_t per step.
     """
     return closed_loop(system, _GapsSelector(system, config), T)

@@ -159,10 +159,20 @@ def make_horizon_selection_env(
     so short horizons see nearly clean predictions and long horizons see
     mostly garbage; the cost-optimal horizon is interior and well separated.
     """
+    if len(horizons) == 0:
+        raise ValueError("horizons must list at least one planning horizon")
     max_k = max(horizons)
     A, B, q, Qf = scalar_model(a, b)
     require_scale("sigma_pred0", sigma_pred0)
     require_scale("pred_growth", pred_growth)
-    lead_sigmas = sigma_pred0 * pred_growth ** np.arange(max_k)
+    # An overflow is refused below, by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead_sigmas = sigma_pred0 * pred_growth ** np.arange(max_k)
+    if not np.isfinite(lead_sigmas).all():
+        raise ValueError(
+            f"sigma_pred0 * pred_growth ** (max(horizons) - 1) must be finite, got "
+            f"sigma_pred0={sigma_pred0!r}, pred_growth={pred_growth!r}, "
+            f"max(horizons)={max_k}"
+        )
     w, predictions = predicted_disturbances(T, max_k, seed, sigma_w, lead_sigmas[:, None])
     return HorizonSelectionEnv(A, B, q, q, Qf, horizons, w, predictions, x0=x0)

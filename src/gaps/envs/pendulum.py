@@ -15,7 +15,14 @@ import numpy as np
 
 from ..errors import require_real
 from ..linalg import quadratic_cost, solve_dare
-from ..system import Box, ControlSystem, ParameterSet, StepJacobians, Trajectory
+from ..system import (
+    Box,
+    ClosedLoopJacobians,
+    ControlSystem,
+    ParameterSet,
+    StepJacobians,
+    Trajectory,
+)
 from .disturbances import IidGaussian, OrnsteinUhlenbeck
 
 # Gain box verified to stabilize the Euler-discretized linearization at every
@@ -119,6 +126,36 @@ class PendulumEnv(ControlSystem):
             df_du=np.array([0.0 + 2.0 * self.R.item() * u0]),
         )
 
+    # The closed-loop products of the blocks above, over Python floats. A
+    # numpy product sums onto +0.0, so an entry that is one product p of
+    # the blocks reads `0.0 + p`; one product of a zero block entry with
+    # finite inputs is a zero, so it drops where it is added to a nonzero
+    # entry and is +0.0 alone. The loop only hands over finite states and
+    # parameters. Q and R are diag(Q_ANGLE, Q_VELOCITY) and R_CONTROL. The
+    # four blocks are views of one array, which costs less to build than
+    # four.
+
+    def closed_loop_jacobians(self, t, x, theta):
+        ml2 = self.mass_at(t) * LENGTH**2
+        b = DT / ml2  # dg_du[1, 0]; dg_du[0, 0] is 0
+        t0, t1 = theta.tolist()
+        x0, x1 = x.tolist()
+        du = 0.0 + 2.0 * R_CONTROL * (-t0 * x0 - t1 * x1)  # df_du[0]
+        blocks = np.array(
+            [
+                # A_cl = dg_dx + dg_du @ dpi_dx, row by row
+                1.0, DT,
+                DT * (GRAVITY / LENGTH) * math.cos(x0) + b * -t0, 1.0 - DT * DAMPING / ml2 + b * -t1,
+                # B_theta = dg_du @ dpi_dtheta
+                0.0, 0.0,
+                0.0 + b * -x0, 0.0 + b * -x1,
+                # c_x = df_dx + df_du @ dpi_dx, then c_theta = df_du @ dpi_dtheta
+                0.0 + 2.0 * Q_ANGLE * x0 + du * -t0, 0.0 + 2.0 * Q_VELOCITY * x1 + du * -t1,
+                0.0 + du * -x0, 0.0 + du * -x1,
+            ]
+        ).reshape(3, 2, 2)
+        return ClosedLoopJacobians(blocks[0], blocks[1], blocks[2, 0], blocks[2, 1])
+
     def linearization(self, mass: float) -> tuple[np.ndarray, np.ndarray]:
         """Euler-discretized linearization at the upright equilibrium."""
         ml2 = mass * LENGTH**2
@@ -155,6 +192,29 @@ class PendulumEnv(ControlSystem):
 
     # quadratic_cost broadcasts over lanes with the per-state bits.
     cost_lanes = cost
+
+    # closed_loop_jacobians' entries, each formed the same way over lanes.
+
+    def closed_loop_jacobians_lanes(self, t, X, thetas):
+        ml2 = self.mass_at(t) * LENGTH**2
+        b = DT / ml2
+        L = X.shape[0]
+        angle, velocity = X[:, 0], X[:, 1]
+        k0, k1 = -thetas[:, 0], -thetas[:, 1]
+        du = 0.0 + 2.0 * R_CONTROL * (k0 * angle - thetas[:, 1] * velocity)
+        A_cl = np.empty((L, 2, 2))
+        A_cl[:, 0, 0] = 1.0
+        A_cl[:, 0, 1] = DT
+        A_cl[:, 1, 0] = DT * (GRAVITY / LENGTH) * np.cos(angle) + b * k0
+        A_cl[:, 1, 1] = 1.0 - DT * DAMPING / ml2 + b * k1
+        B_theta = np.zeros((L, 2, 2))
+        B_theta[:, 1, :] = 0.0 + b * -X
+        c_x = np.empty((L, 2))
+        c_x[:, 0] = 0.0 + 2.0 * Q_ANGLE * angle + du * k0
+        c_x[:, 1] = 0.0 + 2.0 * Q_VELOCITY * velocity + du * k1
+        return ClosedLoopJacobians(
+            A_cl=A_cl, B_theta=B_theta, c_x=c_x, c_theta=0.0 + du[:, None] * -X
+        )
 
 
 def make_pendulum_env(

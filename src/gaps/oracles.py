@@ -11,11 +11,11 @@ step steps[i]. All lanes still waiting for their read advance together, one
 lane-axis call of the system per step, so the surrogates F_t(theta_t) of a
 whole T-step parameter path cost one T-step pass instead of T
 resimulations. Gradients come from the forward sensitivity recursion
-S <- A_cl S + dg_du dpi_dtheta carried along each lane (forward-mode RTRL,
-Williams & Zipser 1989, untruncated). The reset-based finite-memory
-baseline, `finite_memory_gradient`, plays its window as one
-`ControlSystem.hold` call and runs the same recursion over its states,
-truncated to B terms.
+S <- A_cl S + B_theta over the system's closed-loop Jacobians, carried
+along each lane (forward-mode RTRL, Williams & Zipser 1989, untruncated).
+The reset-based finite-memory baseline, `finite_memory_gradient`, plays
+its window as one `ControlSystem.hold` call and runs the same recursion
+over its states, truncated to B terms.
 """
 
 from __future__ import annotations
@@ -63,19 +63,19 @@ def surrogates(
         check_state(t, X)
         th = thetas[lo:]
         U = system.policy_lanes(t, X, th)
-        jac = system.jacobians_lanes(t, X, th) if with_grad else None
+        cl = system.closed_loop_jacobians_lanes(t, X, th) if with_grad else None
         k = 0  # lanes read at this step
         while lo + k < L and steps[lo + k] == t:
             costs[lo + k] = system.cost(t, X[k], U[k])
             if with_grad:
-                j = jac.lane(k)
-                grads[lo + k] = j.df_du @ j.dpi_dtheta + j.dcost_dx_closed() @ S[k]
+                j = cl.lane(k)
+                grads[lo + k] = j.c_theta + j.c_x @ S[k]
             k += 1
         lo += k
         if lo < L:
             # The lanes just read advance with the rest and are then dropped.
             if with_grad:
-                S = (jac.closed_loop() @ S + jac.dg_du @ jac.dpi_dtheta)[k:]
+                S = (cl.A_cl @ S + cl.B_theta)[k:]
             X = system.dynamics_lanes(t, X, U)[k:]
     return Surrogates(costs=costs, grads=grads)
 
@@ -171,12 +171,12 @@ def finite_memory_gradient(
     seg = system.hold(t - B, np.zeros(system.n), theta, B)
     S = np.zeros((system.n, system.d))
     for i, x in enumerate(seg.states):
-        jac = system.jacobians(t - B + i, x, theta)
+        cl = system.closed_loop_jacobians(t - B + i, x, theta)
         # The parameter acting at the reset step itself lies outside the
         # B-term memory window, so its injection is skipped.
-        S = jac.closed_loop() @ S
+        S = cl.A_cl @ S
         if i > 0:
-            S = S + jac.dg_du @ jac.dpi_dtheta
-    jac = system.jacobians(t, seg.final_state, theta)
-    grad = jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+            S = S + cl.B_theta
+    cl = system.closed_loop_jacobians(t, seg.final_state, theta)
+    grad = cl.c_theta + cl.c_x @ S
     return FiniteMemoryGradient(grad=grad, policy_evals=B + 1)

@@ -160,14 +160,19 @@ class StepJacobians:
         df_dx + df_du @ dpi_dx."""
         return self.df_dx + dot(self.df_du, self.dpi_dx)
 
+    def closed_loop_jacobians(self) -> "ClosedLoopJacobians":
+        """The four closed-loop products at a single state: A_cl, B_theta,
+        c_x and c_theta, in field order."""
+        return ClosedLoopJacobians(
+            self.closed_loop(),
+            dot(self.dg_du, self.dpi_dtheta),
+            self.dcost_dx_closed(),
+            dot(self.df_du, self.dpi_dtheta),
+        )
+
     def lane(self, i: int) -> "StepJacobians":
-        """The single-state blocks of lane i; a block shared by every lane
-        is returned whole."""
-        blocks = {}
-        for name, ndim in _BLOCK_NDIM.items():
-            block = getattr(self, name)
-            blocks[name] = block if block.ndim == ndim else block[i]
-        return StepJacobians(**blocks)
+        """The single-state blocks of lane i (see `_lane`)."""
+        return _lane(self, _BLOCK_NDIM, i)
 
     def validate(self, n: int, m: int, d: int) -> None:
         expected = {
@@ -184,6 +189,44 @@ class StepJacobians:
                 raise DimensionMismatch(f"{name} has shape {block.shape}, expected {shape}")
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} contains non-finite entries")
+
+
+# Number of axes of each closed-loop block at a single state, as above.
+_CLOSED_LOOP_NDIM = {"A_cl": 2, "B_theta": 2, "c_x": 1, "c_theta": 1}
+
+
+@dataclass
+class ClosedLoopJacobians:
+    """The four closed-loop products of the step blocks that the
+    sensitivity recursions read, at a visited (x_t, theta_t).
+
+    A_cl = dx_{t+1}/dx_t = dg_dx + dg_du @ dpi_dx, the parameter injection
+    B_theta = dx_{t+1}/dtheta_t = dg_du @ dpi_dtheta, and the cost rows
+    c_x = dc_t/dx_t = df_dx + df_du @ dpi_dx and
+    c_theta = dc_t/dtheta_t = df_du @ dpi_dtheta. Blocks of a lane-axis call
+    carry a leading lane axis, or keep their single-state shape when shared
+    by every lane.
+    """
+
+    A_cl: np.ndarray  # (n, n)
+    B_theta: np.ndarray  # (n, d)
+    c_x: np.ndarray  # (n,)
+    c_theta: np.ndarray  # (d,)
+
+    def lane(self, i: int) -> "ClosedLoopJacobians":
+        """The single-state blocks of lane i (see `_lane`)."""
+        return _lane(self, _CLOSED_LOOP_NDIM, i)
+
+
+def _lane(record, block_ndim: dict, i: int):
+    """The single-state blocks of lane i of a block record whose block
+    `name` has block_ndim[name] axes at a single state; a block shared by
+    every lane is returned whole."""
+    blocks = {}
+    for name, ndim in block_ndim.items():
+        block = getattr(record, name)
+        blocks[name] = block if block.ndim == ndim else block[i]
+    return type(record)(**blocks)
 
 
 @dataclass
@@ -218,7 +261,10 @@ class ControlSystem(abc.ABC):
 
     Implementations expose dims (n, m, d), the horizon T their disturbance
     realization covers, the initial state x0, the parameter set, per-step
-    evaluations, and the six Jacobian blocks at any visited point.
+    evaluations, and the six Jacobian blocks at any visited point. The
+    sensitivity recursions read only their four closed-loop products,
+    through `closed_loop_jacobians`, whose default forms them from
+    `jacobians`.
     Evaluating twice at identical (t, x, theta) must return identical
     results: all randomness is fixed at construction.
     """
@@ -252,9 +298,11 @@ class ControlSystem(abc.ABC):
     # leading axis can point these at its single-state methods instead.
     # A subclass never inherits a fast path written for its parent's step
     # math (see __init_subclass__): one that redefines a single-state method
-    # without its lane entry point gets the default loop back, and one that
+    # without its lane entry point gets the default loop back; one that
     # redefines policy, dynamics or cost without `hold` or
-    # `batch_surrogate_costs` gets the defaults of those two back.
+    # `batch_surrogate_costs` gets the defaults of those two back; and one
+    # that redefines policy, dynamics, cost or jacobians without the
+    # closed-loop Jacobian methods gets the defaults of those back.
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -263,10 +311,14 @@ class ControlSystem(abc.ABC):
             lanes = f"{name}_lanes"
             if name in own and lanes not in own:
                 setattr(cls, lanes, vars(ControlSystem)[lanes])
+        resets = []
         if any(name in own for name in ("policy", "dynamics", "cost")):
-            for name in ("hold", "batch_surrogate_costs"):
-                if name not in own:
-                    setattr(cls, name, vars(ControlSystem)[name])
+            resets += ["hold", "batch_surrogate_costs"]
+        if any(name in own for name in ("policy", "dynamics", "cost", "jacobians")):
+            resets += ["closed_loop_jacobians", "closed_loop_jacobians_lanes"]
+        for name in resets:
+            if name not in own:
+                setattr(cls, name, vars(ControlSystem)[name])
 
     def policy_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """(L, m) actions: row i is policy(t, X[i], thetas[i])."""
@@ -285,6 +337,27 @@ class ControlSystem(abc.ABC):
         jacs = [self.jacobians(t, x, theta) for x, theta in zip(X, thetas)]
         return StepJacobians(
             **{name: np.array([getattr(j, name) for j in jacs]) for name in _BLOCK_NDIM}
+        )
+
+    def closed_loop_jacobians(
+        self, t: int, x: np.ndarray, theta: np.ndarray
+    ) -> ClosedLoopJacobians:
+        """The closed-loop products of `jacobians(t, x, theta)`."""
+        return self.jacobians(t, x, theta).closed_loop_jacobians()
+
+    def closed_loop_jacobians_lanes(
+        self, t: int, X: np.ndarray, thetas: np.ndarray
+    ) -> ClosedLoopJacobians:
+        """The closed-loop products of `jacobians_lanes(t, X, thetas)`. Each
+        cost row is a one-row product per lane, which gives every lane the
+        bits of its single-state row."""
+        jac = self.jacobians_lanes(t, X, thetas)
+        df_du = jac.df_du[..., None, :]
+        return ClosedLoopJacobians(
+            A_cl=jac.closed_loop(),
+            B_theta=jac.dg_du @ jac.dpi_dtheta,
+            c_x=jac.df_dx + (df_du @ jac.dpi_dx)[..., 0, :],
+            c_theta=(df_du @ jac.dpi_dtheta)[..., 0, :],
         )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
@@ -336,7 +409,11 @@ def check_state(t: int, x: np.ndarray) -> None:
     # at every step of every loop.
     norm = math.sqrt(np.vdot(x, x))
     if not norm <= DEFAULT_BLOWUP_CAP and x.ndim == 2:
-        norm = np.max(np.linalg.norm(x, axis=1))
+        # A lane past about 1e154 squares to inf: its norm is then inf,
+        # which fails the check below, and numpy's overflow warning says
+        # nothing more.
+        with np.errstate(over="ignore"):
+            norm = np.max(np.linalg.norm(x, axis=1))
     if not norm <= DEFAULT_BLOWUP_CAP:
         raise StateBlowup(t, float(norm), DEFAULT_BLOWUP_CAP)
 

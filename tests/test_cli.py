@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,9 @@ class TestRun:
         (["env.name=pendulum", "env.params.masses=[true,1.3]"], "masses"),
         (["env.name=pendulum", 'env.params.disturbance={"kind":"ou","mean_reversion":true}'],
          "mean_reversion"),
+        # Not JSON, so it arrives as the string "nan".
+        (["algorithm.params.eta=nan"], "eta"),
+        (["env.name=horizon", "algorithm.name=baps", "T=200", "algorithm.params.eta=nan"], "eta"),
     ])
     def test_non_numeric_scales_name_their_key(self, tmp_path, capsys, overrides, key):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]
@@ -232,6 +236,12 @@ class TestRun:
          "unknown config key 'env.params.disturbance.sigm'"),
         (["env.name=pendulum", 'env.params.disturbance={"kind":"ou","theta":1}'],
          "unknown config key 'env.params.disturbance.theta'"),
+        (["env.name=horizon", "env.params.pred_growth=1e200"],
+         "sigma_pred0 * pred_growth ** (max(horizons) - 1) must be finite"),
+        (["env.name=horizon", "env.params.sigma_pred0=1e300", "env.params.pred_growth=1e10"],
+         "sigma_pred0 * pred_growth ** (max(horizons) - 1) must be finite"),
+        (["env.name=horizon", "env.params.horizons=[]"],
+         "horizons must list at least one planning horizon"),
     ])
     def test_bad_dynamics_and_disturbance_keys_are_named(
         self, tmp_path, capsys, overrides, message
@@ -291,6 +301,17 @@ class TestRun:
                 "--override", f"env.name={env_name}", "--override", "metrics.regret=false"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_huge_lane_state_fails_without_a_warning(self, tmp_path, capsys):
+        # The regret table's lanes square past the float range at step 1.
+        argv = ["run", "--out", str(tmp_path / "big"), "--override", "env.name=horizon",
+                "--override", "algorithm.name=baps", "--override", "T=200",
+                "--override", "env.params.sigma_pred0=1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: state norm inf exceeded cap 1.000e+08 at step 1\n"
 
     def test_nan_disturbance_fails_contraction(self, tmp_path, monkeypatch, capsys):
         build = gaps.cli.build_env
