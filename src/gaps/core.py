@@ -87,7 +87,8 @@ def gaps_step(
     state: GapsState, cl: ClosedLoopJacobians, config: GapsConfig
 ) -> tuple[np.ndarray, GapsState]:
     """One online update from the closed-loop Jacobians of the step just
-    taken.
+    taken: a ClosedLoopJacobians record, or a StepJacobians, which reads as
+    one.
 
     Returns (G_t, next_state): the truncated cost gradient with respect to
     the last min(B, t+1) parameters, and the advanced state whose theta is
@@ -122,14 +123,17 @@ def gaps_step(
     # by one closed-loop step, and lag B-1 drops. The ring is stored as the
     # block row [M_1 | M_2 | ... | M_k] of shape (n, k*d), so aging all lags
     # is the single product A_cl @ [M_1 | ... | M_{B-2}]; `ring` is a
-    # (k, n, d) view of it.
-    n = cl.A_cl.shape[0]
+    # (k, n, d) view of it. Each block is read once, and only where it is
+    # used, since a StepJacobians forms it on every read.
     if config.B == 1:
-        ring = np.empty((0, n, d))
+        # Every step leaves the ring empty; n is read on the first.
+        ring = state.ring if state.ring.shape[1] else np.empty((0, len(cl.B_theta), d))
     else:
+        B_theta = cl.B_theta
+        n = len(B_theta)
         kept = state.ring[: config.B - 2]
         block = np.empty((n, (len(kept) + 1) * d))
-        block[:, :d] = cl.B_theta
+        block[:, :d] = B_theta
         if len(kept):
             # np.dot refuses the non-contiguous out slice; np.matmul takes it.
             kept_block = kept.transpose(1, 0, 2).reshape(n, -1)

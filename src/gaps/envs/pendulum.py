@@ -193,29 +193,6 @@ class PendulumEnv(ControlSystem):
     # quadratic_cost broadcasts over lanes with the per-state bits.
     cost_lanes = cost
 
-    # closed_loop_jacobians' entries, each formed the same way over lanes.
-
-    def closed_loop_jacobians_lanes(self, t, X, thetas):
-        ml2 = self.mass_at(t) * LENGTH**2
-        b = DT / ml2
-        L = X.shape[0]
-        angle, velocity = X[:, 0], X[:, 1]
-        k0, k1 = -thetas[:, 0], -thetas[:, 1]
-        du = 0.0 + 2.0 * R_CONTROL * (k0 * angle - thetas[:, 1] * velocity)
-        A_cl = np.empty((L, 2, 2))
-        A_cl[:, 0, 0] = 1.0
-        A_cl[:, 0, 1] = DT
-        A_cl[:, 1, 0] = DT * (GRAVITY / LENGTH) * np.cos(angle) + b * k0
-        A_cl[:, 1, 1] = 1.0 - DT * DAMPING / ml2 + b * k1
-        B_theta = np.zeros((L, 2, 2))
-        B_theta[:, 1, :] = 0.0 + b * -X
-        c_x = np.empty((L, 2))
-        c_x[:, 0] = 0.0 + 2.0 * Q_ANGLE * angle + du * k0
-        c_x[:, 1] = 0.0 + 2.0 * Q_VELOCITY * velocity + du * k1
-        return ClosedLoopJacobians(
-            A_cl=A_cl, B_theta=B_theta, c_x=c_x, c_theta=0.0 + du[:, None] * -X
-        )
-
 
 def make_pendulum_env(
     T: int,

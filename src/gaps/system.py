@@ -147,32 +147,37 @@ class StepJacobians:
     df_du: np.ndarray  # (m,)
 
     def closed_loop(self) -> np.ndarray:
-        """d x_{t+1} / d x_t along the closed loop: dg_dx + dg_du @ dpi_dx.
-
-        Single-state blocks take linalg.dot, the bits of `@` at less call
-        overhead; a block with a lane axis needs `@` to broadcast."""
-        if self.dg_du.ndim == 2 and self.dpi_dx.ndim == 2:
-            return self.dg_dx + dot(self.dg_du, self.dpi_dx)
-        return self.dg_dx + self.dg_du @ self.dpi_dx
+        """d x_{t+1} / d x_t along the closed loop: dg_dx + dg_du @ dpi_dx."""
+        return self.dg_dx + _times(self.dg_du, self.dpi_dx)
 
     def dcost_dx_closed(self) -> np.ndarray:
-        """d c_t / d x_t along the closed loop at a single state:
-        df_dx + df_du @ dpi_dx."""
-        return self.df_dx + dot(self.df_du, self.dpi_dx)
+        """d c_t / d x_t along the closed loop: df_dx + df_du @ dpi_dx."""
+        return self.df_dx + _row_times(self.df_du, self.dpi_dx)
 
-    def closed_loop_jacobians(self) -> "ClosedLoopJacobians":
-        """The four closed-loop products at a single state: A_cl, B_theta,
-        c_x and c_theta, in field order."""
-        return ClosedLoopJacobians(
-            self.closed_loop(),
-            dot(self.dg_du, self.dpi_dtheta),
-            self.dcost_dx_closed(),
-            dot(self.df_du, self.dpi_dtheta),
-        )
+    # The four products under ClosedLoopJacobians' field names, so that a
+    # StepJacobians reads as that record and forms each product only when it
+    # is read: the GAPS step reads c_x only once it keeps a lag, and the
+    # gradient oracles read the cost rows only of the lanes read at a step.
+
+    A_cl = property(closed_loop)
+    c_x = property(dcost_dx_closed)
+
+    @property
+    def B_theta(self) -> np.ndarray:
+        return _times(self.dg_du, self.dpi_dtheta)
+
+    @property
+    def c_theta(self) -> np.ndarray:
+        return _row_times(self.df_du, self.dpi_dtheta)
 
     def lane(self, i: int) -> "StepJacobians":
-        """The single-state blocks of lane i (see `_lane`)."""
-        return _lane(self, _BLOCK_NDIM, i)
+        """The single-state blocks of lane i; a block shared by every lane
+        is returned whole."""
+        blocks = {}
+        for name, ndim in _BLOCK_NDIM.items():
+            block = getattr(self, name)
+            blocks[name] = block if block.ndim == ndim else block[i]
+        return StepJacobians(**blocks)
 
     def validate(self, n: int, m: int, d: int) -> None:
         expected = {
@@ -191,10 +196,6 @@ class StepJacobians:
                 raise ValueError(f"{name} contains non-finite entries")
 
 
-# Number of axes of each closed-loop block at a single state, as above.
-_CLOSED_LOOP_NDIM = {"A_cl": 2, "B_theta": 2, "c_x": 1, "c_theta": 1}
-
-
 @dataclass
 class ClosedLoopJacobians:
     """The four closed-loop products of the step blocks that the
@@ -203,9 +204,8 @@ class ClosedLoopJacobians:
     A_cl = dx_{t+1}/dx_t = dg_dx + dg_du @ dpi_dx, the parameter injection
     B_theta = dx_{t+1}/dtheta_t = dg_du @ dpi_dtheta, and the cost rows
     c_x = dc_t/dx_t = df_dx + df_du @ dpi_dx and
-    c_theta = dc_t/dtheta_t = df_du @ dpi_dtheta. Blocks of a lane-axis call
-    carry a leading lane axis, or keep their single-state shape when shared
-    by every lane.
+    c_theta = dc_t/dtheta_t = df_du @ dpi_dtheta. A StepJacobians reads as
+    this record too, and is the one a lane-axis call returns by default.
     """
 
     A_cl: np.ndarray  # (n, n)
@@ -213,20 +213,21 @@ class ClosedLoopJacobians:
     c_x: np.ndarray  # (n,)
     c_theta: np.ndarray  # (d,)
 
-    def lane(self, i: int) -> "ClosedLoopJacobians":
-        """The single-state blocks of lane i (see `_lane`)."""
-        return _lane(self, _CLOSED_LOOP_NDIM, i)
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over blocks that may carry a lane axis. Single-state blocks take
+    linalg.dot, the bits of `@` at less call overhead."""
+    if a.ndim == 2 and b.ndim == 2:
+        return dot(a, b)
+    return a @ b
 
 
-def _lane(record, block_ndim: dict, i: int):
-    """The single-state blocks of lane i of a block record whose block
-    `name` has block_ndim[name] axes at a single state; a block shared by
-    every lane is returned whole."""
-    blocks = {}
-    for name, ndim in block_ndim.items():
-        block = getattr(record, name)
-        blocks[name] = block if block.ndim == ndim else block[i]
-    return type(record)(**blocks)
+def _row_times(row: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """row @ M for a cost row; with a lane axis on either, one row product
+    per lane, which gives each lane the bits of its single-state row."""
+    if row.ndim == 1 and M.ndim == 2:
+        return dot(row, M)
+    return (row[..., None, :] @ M)[..., 0, :]
 
 
 @dataclass
@@ -342,23 +343,16 @@ class ControlSystem(abc.ABC):
     def closed_loop_jacobians(
         self, t: int, x: np.ndarray, theta: np.ndarray
     ) -> ClosedLoopJacobians:
-        """The closed-loop products of `jacobians(t, x, theta)`."""
-        return self.jacobians(t, x, theta).closed_loop_jacobians()
+        """The closed-loop products at (x, theta). The default returns
+        `jacobians(t, x, theta)`, which forms each product when it is read."""
+        return self.jacobians(t, x, theta)
 
     def closed_loop_jacobians_lanes(
         self, t: int, X: np.ndarray, thetas: np.ndarray
     ) -> ClosedLoopJacobians:
-        """The closed-loop products of `jacobians_lanes(t, X, thetas)`. Each
-        cost row is a one-row product per lane, which gives every lane the
-        bits of its single-state row."""
-        jac = self.jacobians_lanes(t, X, thetas)
-        df_du = jac.df_du[..., None, :]
-        return ClosedLoopJacobians(
-            A_cl=jac.closed_loop(),
-            B_theta=jac.dg_du @ jac.dpi_dtheta,
-            c_x=jac.df_dx + (df_du @ jac.dpi_dx)[..., 0, :],
-            c_theta=(df_du @ jac.dpi_dtheta)[..., 0, :],
-        )
+        """The closed-loop products of every lane, with `lane(i)`. The default
+        returns `jacobians_lanes(t, X, thetas)`, as above."""
+        return self.jacobians_lanes(t, X, thetas)
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         """(T, L) surrogate costs: entry [t, i] is the stage cost at t of the

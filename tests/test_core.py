@@ -26,7 +26,7 @@ class TestGapsStep:
         cfg = GapsConfig(eta=0.1, B=8, theta0=np.zeros(2), set=tanh_system.theta_set)
         state = GapsState.initial(cfg)
         jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
-        grad, new_state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+        grad, new_state = gaps_step(state, jac, cfg)
         assert np.allclose(grad, jac.df_du @ jac.dpi_dtheta, atol=0)
         assert new_state.t == 1
         assert new_state.ring.shape[0] == 1
@@ -37,7 +37,7 @@ class TestGapsStep:
         x = tanh_system.x0.copy()
         for t in range(10):
             jac = tanh_system.jacobians(t, x, state.theta)
-            grad, state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+            grad, state = gaps_step(state, jac, cfg)
             assert np.allclose(grad, jac.df_du @ jac.dpi_dtheta, atol=0)
             assert state.ring.shape[0] == 0
             x = tanh_system.dynamics(t, x, tanh_system.policy(t, x, state.theta))
@@ -48,7 +48,7 @@ class TestGapsStep:
         state = GapsState(t=0, theta=np.zeros(2))
         assert state.ring.shape == (0, 0, 2)
         jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
-        _, state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+        _, state = gaps_step(state, jac, cfg)
         assert state.ring.shape == (min(B - 1, 1), tanh_system.n, 2)
 
     def test_recursion_equals_brute_force_on_confidence_env(self):
@@ -81,7 +81,7 @@ class TestGapsStep:
         jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
         jac.df_du = jac.df_du * np.nan
         with pytest.raises(NonFiniteGradient):
-            gaps_step(state, jac.closed_loop_jacobians(), cfg)
+            gaps_step(state, jac, cfg)
 
 
 def reference_run(system, cfg, T):
@@ -139,7 +139,7 @@ class TestStackedRing:
             assert np.array_equal(state.theta, theta)
             jac = env.jacobians(t, x, state.theta)
             u = env.policy(t, x, state.theta)
-            g, state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+            g, state = gaps_step(state, jac, cfg)
             assert np.array_equal(g, grad)
             assert state.ring.shape == (min(B - 1, t + 1), env.n, env.d)
             assert state.ring.shape[0] == len(ring)
@@ -151,10 +151,10 @@ class TestStackedRing:
         cfg = GapsConfig(eta=0.1, B=4, theta0=np.zeros(2), set=tanh_system.theta_set)
         state = GapsState.initial(cfg)
         jac = tanh_system.jacobians(0, tanh_system.x0, state.theta)
-        _, state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+        _, state = gaps_step(state, jac, cfg)
         state.t = 0
         with pytest.raises(DimensionMismatch):
-            gaps_step(state, jac.closed_loop_jacobians(), cfg)
+            gaps_step(state, jac, cfg)
 
 
 class TestRunGaps:

@@ -16,9 +16,8 @@ from gaps.envs.horizon import make_horizon_selection_env
 from gaps.envs.pendulum import DAMPING, DT, GRAVITY, LENGTH, PendulumEnv, PendulumParams
 from gaps.errors import NonFiniteGradient, SingularMatrix
 from gaps.linalg import PIVOT_TOL, quadratic_cost, row_matmul, solve_dare, solve_linear
-from gaps.metrics import local_regret
-from gaps.oracles import finite_memory_gradient, surrogates
-from gaps.system import Box, ClosedLoopJacobians, ControlSystem, StepJacobians
+from gaps.oracles import finite_memory_gradient
+from gaps.system import Box, ControlSystem, StepJacobians
 
 
 def same(a, b):
@@ -178,22 +177,20 @@ def assert_same_jacobians(a, b):
         assert same(getattr(a, name), getattr(b, name)), name
 
 
+CLOSED_LOOP_BLOCKS = ("A_cl", "B_theta", "c_x", "c_theta")
+
+
 def assert_same_closed_loop(a, b):
-    for name in ("A_cl", "B_theta", "c_x", "c_theta"):
+    for name in CLOSED_LOOP_BLOCKS:
         assert same(getattr(a, name), getattr(b, name)), name
 
 
 class DefaultClosedLoop(PendulumEnv):
     """Redefines jacobians, so it takes ControlSystem's closed-loop methods,
-    which form the blocks from jacobians and jacobians_lanes."""
+    which read the products off jacobians and jacobians_lanes."""
 
     def jacobians(self, t, x, theta):
         return super().jacobians(t, x, theta)
-
-
-def default_twin(env):
-    """The same pendulum on the default closed-loop path."""
-    return DefaultClosedLoop(env.T, env.w, env.p, env.theta_set, env.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,59 +246,45 @@ class TestPendulum:
             assert same(traj.final_state, x)
 
 
+
 class TestPendulumClosedLoop:
-    """PendulumEnv's closed-loop Jacobians against the default built from
-    its jacobians, bit for bit."""
+    """PendulumEnv's closed-loop Jacobians against the products of its
+    jacobians, bit for bit."""
 
     def test_subclass_with_own_jacobians_gets_the_defaults(self):
         for name in ("closed_loop_jacobians", "closed_loop_jacobians_lanes"):
             assert getattr(DefaultClosedLoop, name) is getattr(ControlSystem, name)
-            assert getattr(PendulumEnv, name) is not getattr(ControlSystem, name)
-
-    @staticmethod
-    def _points(env, rng):
-        """States at several scales and every pattern of signed zeros,
-        against the box corners and random box gains."""
-        X = random_states(rng, 2, 300)
-        lo, hi = env.theta_set.lo, env.theta_set.hi
-        corners = [lo, hi, np.array([lo[0], hi[1]]), np.array([hi[0], lo[1]])]
-        thetas = np.array(
-            [corners[i % 4] if i % 5 else env.theta_set.sample(rng) for i in range(len(X))]
-        )
-        return X, thetas
+        assert PendulumEnv.closed_loop_jacobians is not ControlSystem.closed_loop_jacobians
 
     def test_blocks_match_default(self, pendulum_cases):
         rng = np.random.default_rng(4)
         for env, traj in pendulum_cases:
-            X, thetas = self._points(env, rng)
+            # States at several scales and every pattern of signed zeros,
+            # against the box corners and random box gains, then visited
+            # points.
+            X = random_states(rng, 2, 300)
+            lo, hi = env.theta_set.lo, env.theta_set.hi
+            corners = [lo, hi, np.array([lo[0], hi[1]]), np.array([hi[0], lo[1]])]
+            thetas = [corners[i % 4] if i % 5 else env.theta_set.sample(rng) for i in range(len(X))]
             X = np.concatenate([X, traj.states[:100]])
             thetas = np.concatenate([thetas, traj.thetas[:100]])
             # Mass switches every 100 steps: both sides of three switches.
             for t in (0, 99, 100, 199, 200, 299, 300, 537):
                 lanes = env.closed_loop_jacobians_lanes(t, X, thetas)
-                assert_same_closed_loop(
-                    lanes, ControlSystem.closed_loop_jacobians_lanes(env, t, X, thetas)
-                )
                 for i, (x, theta) in enumerate(zip(X, thetas)):
                     single = env.closed_loop_jacobians(t, x, theta)
                     assert_same_closed_loop(
                         single, ControlSystem.closed_loop_jacobians(env, t, x, theta)
                     )
+                    # The lane record, read whole and lane by lane.
                     assert_same_closed_loop(lanes.lane(i), single)
-
-    def test_local_regret_matches_default(self, pendulum_cases):
-        for env, traj in pendulum_cases:
-            twin = default_twin(env)
-            thetas = traj.thetas[:300]
-            fast = surrogates(env, thetas, with_grad=True)
-            slow = surrogates(twin, thetas, with_grad=True)
-            assert same(fast.grads, slow.grads) and same(fast.costs, slow.costs)
-            assert same(local_regret(env, traj.thetas, 300), local_regret(twin, traj.thetas, 300))
+                    for name in CLOSED_LOOP_BLOCKS:
+                        assert same(getattr(lanes, name)[i], getattr(single, name)), name
 
     @pytest.mark.parametrize("t, B", [(40, 1), (150, 32), (230, 128), (599, 450)])
     def test_finite_memory_gradient_matches_default(self, pendulum_cases, t, B):
         for env, traj in pendulum_cases:
-            twin = default_twin(env)
+            twin = DefaultClosedLoop(env.T, env.w, env.p, env.theta_set, env.x0)
             for theta in (traj.thetas[t], env.theta_set.lo, env.theta_set.hi):
                 fast = finite_memory_gradient(env, theta, t, B)
                 assert same(fast.grad, finite_memory_gradient(twin, theta, t, B).grad)
@@ -448,7 +431,7 @@ class TestGapsStep:
                 df_dx=rng.standard_normal(n),
                 df_du=rng.standard_normal(m),
             )
-            grad, state = gaps_step(state, jac.closed_loop_jacobians(), cfg)
+            grad, state = gaps_step(state, jac, cfg)
             ref_grad, ref_state = ref_gaps_step(ref_state, jac, cfg)
             assert same(grad, ref_grad)
             assert same(state.theta, ref_state.theta)
@@ -457,15 +440,15 @@ class TestGapsStep:
     @staticmethod
     def _step_with_gradient(df_du):
         cfg = GapsConfig(eta=1.0, B=4, theta0=[0.0, 0.0], set=Box([-1.0, -1.0], [1.0, 1.0]))
-        # The closed-loop blocks of dg_dx = I, dg_du = [1, 1]', dpi_dx = 0,
-        # dpi_dtheta = [1, 1], df_dx = 0 and df_du; c_x is not read at t = 0.
-        cl = ClosedLoopJacobians(
-            A_cl=np.eye(2),
-            B_theta=np.ones((2, 2)),
-            c_x=np.zeros(2),
-            c_theta=np.array([df_du, df_du]),
+        jac = StepJacobians(
+            dg_dx=np.eye(2),
+            dg_du=np.ones((2, 1)),
+            dpi_dx=np.zeros((1, 2)),
+            dpi_dtheta=np.array([[1.0, 1.0]]),
+            df_dx=np.zeros(2),
+            df_du=np.array([df_du]),
         )
-        return gaps_step(GapsState.initial(cfg), cl, cfg)
+        return gaps_step(GapsState.initial(cfg), jac, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_raises(self, bad):
