@@ -367,6 +367,9 @@ def run_experiment(config: dict, out_dir: str):
         json.dump(config, f, indent=2, sort_keys=True)
         f.write("\n")
     env = build_env(config)
+    if config.get("metrics", {}).get("local_regret", False) and env.arm_thetas() is not None:
+        raise ConfigError("metrics.local_regret: the env's arms make its policy piecewise "
+                          "constant in theta, so every surrogate gradient is zero")
     traj, extras = run_algorithm(config, env)
     write_trace(os.path.join(out_dir, "trace.csv"), traj)
     report = compute_report(config, env, traj, extras)

@@ -85,7 +85,7 @@ class ConfidenceMpcEnv(LinearQuadraticEnv):
         return self.step_jacobians(t, x, u, -K, -self.feedforward_terms(t).T)
 
     policy_lanes = policy
-    jacobians_lanes = jacobians
+    closed_loop_jacobians_lanes = jacobians
     # Bound here, not only inherited, so that per-class hooks on these names
     # (the benchmark's tracer) find them in the class namespace. Each lane
     # entry point is bound with its method, or ControlSystem.__init_subclass__

@@ -64,7 +64,7 @@ class DacEnv(LinearQuadraticEnv):
         return self.step_jacobians(t, x, u, -self.K_stb[t], np.hstack(blocks))
 
     policy_lanes = policy
-    jacobians_lanes = jacobians
+    closed_loop_jacobians_lanes = jacobians
 
 
 def make_dac_env(

@@ -51,4 +51,4 @@ class LinearFeedbackEnv(LinearQuadraticEnv):
         )
 
     policy_lanes = policy
-    jacobians_lanes = jacobians
+    closed_loop_jacobians_lanes = jacobians

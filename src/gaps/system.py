@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,9 +124,36 @@ class Ball(ParameterSet):
 # Jacobians and trajectories
 
 
-# Number of axes of each Jacobian block at a single state; a block with one
-# more axis carries a leading lane axis.
-_BLOCK_NDIM = {"dg_dx": 2, "dg_du": 2, "dpi_dx": 2, "dpi_dtheta": 2, "df_dx": 1, "df_du": 1}
+# Number of axes of each block of the two Jacobian records at a single
+# state; a block with one more axis carries a leading lane axis.
+_SINGLE_NDIM = {"dg_dx": 2, "dg_du": 2, "dpi_dx": 2, "dpi_dtheta": 2, "df_dx": 1, "df_du": 1,
+                "A_cl": 2, "B_theta": 2, "c_x": 1, "c_theta": 1}
+
+
+@dataclass
+class ClosedLoopJacobians:
+    """The four closed-loop products of the step blocks that the
+    sensitivity recursions read, at a visited (x_t, theta_t).
+
+    A_cl = dx_{t+1}/dx_t = dg_dx + dg_du @ dpi_dx, the parameter injection
+    B_theta = dx_{t+1}/dtheta_t = dg_du @ dpi_dtheta, and the cost rows
+    c_x = dc_t/dx_t = df_dx + df_du @ dpi_dx and
+    c_theta = dc_t/dtheta_t = df_du @ dpi_dtheta. A StepJacobians reads as
+    this record too.
+    """
+
+    A_cl: np.ndarray  # (n, n)
+    B_theta: np.ndarray  # (n, d)
+    c_x: np.ndarray  # (n,)
+    c_theta: np.ndarray  # (d,)
+
+    def lane(self, i: int):
+        """The single-state record of lane i, of the record's own type; a
+        block shared by every lane is returned whole."""
+        blocks = {}
+        for name, block in vars(self).items():
+            blocks[name] = block if block.ndim == _SINGLE_NDIM[name] else block[i]
+        return type(self)(**blocks)
 
 
 @dataclass
@@ -134,9 +161,9 @@ class StepJacobians:
     """All six partial-derivative blocks at a visited (x_t, u_t, theta_t).
 
     Gradient rows of the scalar cost are stored as 1-D arrays: df_dx has
-    shape (n,) and df_du shape (m,). Returned by a lane-axis call, a block
+    shape (n,) and df_du shape (m,). Returned for a lane stack, a block
     either carries a leading lane axis or, when it is the same for every
-    lane, keeps its single-state shape; closed_loop broadcasts over both.
+    lane, keeps its single-state shape; the products broadcast over both.
     """
 
     dg_dx: np.ndarray  # (n, n)
@@ -146,38 +173,28 @@ class StepJacobians:
     df_dx: np.ndarray  # (n,)
     df_du: np.ndarray  # (m,)
 
-    def closed_loop(self) -> np.ndarray:
-        """d x_{t+1} / d x_t along the closed loop: dg_dx + dg_du @ dpi_dx."""
+    lane = ClosedLoopJacobians.lane
+
+    # The four closed-loop products under ClosedLoopJacobians' field names,
+    # so that a StepJacobians reads as that record and forms each product
+    # only when it is read: the GAPS step reads c_x only once it keeps a
+    # lag, and the gradient oracles read the cost rows only of read lanes.
+
+    @property
+    def A_cl(self) -> np.ndarray:
         return self.dg_dx + _times(self.dg_du, self.dpi_dx)
-
-    def dcost_dx_closed(self) -> np.ndarray:
-        """d c_t / d x_t along the closed loop: df_dx + df_du @ dpi_dx."""
-        return self.df_dx + _row_times(self.df_du, self.dpi_dx)
-
-    # The four products under ClosedLoopJacobians' field names, so that a
-    # StepJacobians reads as that record and forms each product only when it
-    # is read: the GAPS step reads c_x only once it keeps a lag, and the
-    # gradient oracles read the cost rows only of the lanes read at a step.
-
-    A_cl = property(closed_loop)
-    c_x = property(dcost_dx_closed)
 
     @property
     def B_theta(self) -> np.ndarray:
         return _times(self.dg_du, self.dpi_dtheta)
 
     @property
+    def c_x(self) -> np.ndarray:
+        return self.df_dx + _row_times(self.df_du, self.dpi_dx)
+
+    @property
     def c_theta(self) -> np.ndarray:
         return _row_times(self.df_du, self.dpi_dtheta)
-
-    def lane(self, i: int) -> "StepJacobians":
-        """The single-state blocks of lane i; a block shared by every lane
-        is returned whole."""
-        blocks = {}
-        for name, ndim in _BLOCK_NDIM.items():
-            block = getattr(self, name)
-            blocks[name] = block if block.ndim == ndim else block[i]
-        return StepJacobians(**blocks)
 
     def validate(self, n: int, m: int, d: int) -> None:
         expected = {
@@ -194,24 +211,6 @@ class StepJacobians:
                 raise DimensionMismatch(f"{name} has shape {block.shape}, expected {shape}")
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} contains non-finite entries")
-
-
-@dataclass
-class ClosedLoopJacobians:
-    """The four closed-loop products of the step blocks that the
-    sensitivity recursions read, at a visited (x_t, theta_t).
-
-    A_cl = dx_{t+1}/dx_t = dg_dx + dg_du @ dpi_dx, the parameter injection
-    B_theta = dx_{t+1}/dtheta_t = dg_du @ dpi_dtheta, and the cost rows
-    c_x = dc_t/dx_t = df_dx + df_du @ dpi_dx and
-    c_theta = dc_t/dtheta_t = df_du @ dpi_dtheta. A StepJacobians reads as
-    this record too, and is the one a lane-axis call returns by default.
-    """
-
-    A_cl: np.ndarray  # (n, n)
-    B_theta: np.ndarray  # (n, d)
-    c_x: np.ndarray  # (n,)
-    c_theta: np.ndarray  # (d,)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,7 +263,7 @@ class ControlSystem(abc.ABC):
     realization covers, the initial state x0, the parameter set, per-step
     evaluations, and the six Jacobian blocks at any visited point. The
     sensitivity recursions read only their four closed-loop products,
-    through `closed_loop_jacobians`, whose default forms them from
+    through `closed_loop_jacobians(_lanes)`, whose defaults form them from
     `jacobians`.
     Evaluating twice at identical (t, x, theta) must return identical
     results: all randomness is fixed at construction.
@@ -308,7 +307,7 @@ class ControlSystem(abc.ABC):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        for name in ("policy", "dynamics", "cost", "jacobians"):
+        for name in ("policy", "dynamics", "cost", "closed_loop_jacobians"):
             lanes = f"{name}_lanes"
             if name in own and lanes not in own:
                 setattr(cls, lanes, vars(ControlSystem)[lanes])
@@ -333,13 +332,6 @@ class ControlSystem(abc.ABC):
         """(L,) stage costs: entry i is cost(t, X[i], U[i])."""
         return np.array([self.cost(t, x, u) for x, u in zip(X, U)])
 
-    def jacobians_lanes(self, t: int, X: np.ndarray, thetas: np.ndarray) -> StepJacobians:
-        """Jacobian blocks of every lane, each with a leading lane axis."""
-        jacs = [self.jacobians(t, x, theta) for x, theta in zip(X, thetas)]
-        return StepJacobians(
-            **{name: np.array([getattr(j, name) for j in jacs]) for name in _BLOCK_NDIM}
-        )
-
     def closed_loop_jacobians(
         self, t: int, x: np.ndarray, theta: np.ndarray
     ) -> ClosedLoopJacobians:
@@ -350,9 +342,12 @@ class ControlSystem(abc.ABC):
     def closed_loop_jacobians_lanes(
         self, t: int, X: np.ndarray, thetas: np.ndarray
     ) -> ClosedLoopJacobians:
-        """The closed-loop products of every lane, with `lane(i)`. The default
-        returns `jacobians_lanes(t, X, thetas)`, as above."""
-        return self.jacobians_lanes(t, X, thetas)
+        """The closed-loop products of every lane, each with a leading lane
+        axis: lane i is closed_loop_jacobians(t, X[i], thetas[i])."""
+        singles = [self.closed_loop_jacobians(t, x, theta) for x, theta in zip(X, thetas)]
+        return ClosedLoopJacobians(
+            *(np.array([getattr(s, f.name) for s in singles]) for f in fields(ClosedLoopJacobians))
+        )
 
     def batch_surrogate_costs(self, thetas: np.ndarray, T: int) -> np.ndarray:
         """(T, L) surrogate costs: entry [t, i] is the stage cost at t of the

@@ -90,7 +90,7 @@ def chain_rule_gradients(system: ControlSystem, traj: Trajectory, B: int) -> np.
     """(T, d) truncated gradients of a run from explicit chain-rule products
     over the visited Jacobians: the reference for the streaming ring. The
     closed-loop blocks are written out here rather than taken from the
-    StepJacobians methods the recursion uses, so a fault in those shows."""
+    StepJacobians products the recursion uses, so a fault in those shows."""
     T = len(traj)
     jacs = [system.jacobians(t, traj.states[t], traj.thetas[t]) for t in range(T)]
     grads = np.empty((T, system.d))

@@ -165,6 +165,8 @@ class TestRun:
         ["env.name=constant_noise", "env.params.b=0"],
         ["env.name=pendulum", 'env.params.disturbance={"kind":"iid","sigm":5.0}'],
         ["env.name=pendulum", 'env.params.disturbance={"kind":"ou","sigma":3.0,"theta":1}'],
+        ["env.name=horizon", "algorithm.name=baps", "algorithm.params.b=5",
+         "metrics.local_regret=true"],
     ])
     def test_bad_algorithm_params_are_config_errors(self, tmp_path, capsys, overrides):
         argv = ["run", "--out", str(tmp_path / "bad"), "--override", "T=20"]

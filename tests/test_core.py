@@ -98,9 +98,9 @@ def reference_run(system, cfg, T):
         jac = system.jacobians(t, x, theta)
         grad = jac.df_du @ jac.dpi_dtheta
         if ring:
-            grad = grad + jac.dcost_dx_closed() @ sum(ring)
+            grad = grad + (jac.df_dx + jac.df_du @ jac.dpi_dx) @ sum(ring)
         if cfg.B > 1:
-            A_cl = jac.closed_loop()
+            A_cl = jac.dg_dx + jac.dg_du @ jac.dpi_dx
             ring = [jac.dg_du @ jac.dpi_dtheta] + [A_cl @ M for M in ring[: cfg.B - 2]]
         yield t, grad, theta, ring
         theta = cfg.set.project(theta - cfg.eta * grad)

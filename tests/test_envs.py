@@ -473,8 +473,13 @@ def test_lq_lanes_bit_equal_to_single_states(name):
         assert np.array_equal(
             env.cost_lanes(t, X, U), np.array([env.cost(t, x, u) for x, u in zip(X, U)])
         )
-        jac = env.jacobians_lanes(t, X, thetas)
+        cl = env.closed_loop_jacobians_lanes(t, X, thetas)
         for i in range(L):
-            lane, single = jac.lane(i), env.jacobians(t, X[i], thetas[i])
-            for block in ("dg_dx", "dg_du", "dpi_dx", "dpi_dtheta", "df_dx", "df_du"):
-                assert np.array_equal(getattr(lane, block), getattr(single, block)), block
+            lane, single = cl.lane(i), env.closed_loop_jacobians(t, X[i], thetas[i])
+            for block in ("A_cl", "B_theta", "c_x", "c_theta"):
+                want = getattr(single, block)
+                assert np.array_equal(getattr(lane, block), want), block
+                # Read whole; a block shared by every lane keeps its
+                # single-state shape.
+                whole = np.broadcast_to(getattr(cl, block), (L,) + want.shape)
+                assert np.array_equal(whole[i], want), block

@@ -197,12 +197,12 @@ def reference_finite_memory(system, theta, t, B):
         check_state(tau, x)
         jac = system.jacobians(tau, x, theta)
         u = system.policy(tau, x, theta)
-        S = jac.closed_loop() @ S
+        S = (jac.dg_dx + jac.dg_du @ jac.dpi_dx) @ S
         if tau > t - B:
             S = S + jac.dg_du @ jac.dpi_dtheta
         x = system.dynamics(tau, x, u)
     jac = system.jacobians(t, x, theta)
-    return jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+    return jac.df_du @ jac.dpi_dtheta + (jac.df_dx + jac.df_du @ jac.dpi_dx) @ S
 
 
 class _NanOffsetTanh(TanhSystem):
@@ -271,11 +271,11 @@ def per_state_surrogate(system, theta, t):
     for tau in range(t):
         jac = system.jacobians(tau, x, theta)
         u = system.policy(tau, x, theta)
-        S = jac.closed_loop() @ S + jac.dg_du @ jac.dpi_dtheta
+        S = (jac.dg_dx + jac.dg_du @ jac.dpi_dx) @ S + jac.dg_du @ jac.dpi_dtheta
         x = system.dynamics(tau, x, u)
     jac = system.jacobians(t, x, theta)
     cost = system.cost(t, x, system.policy(t, x, theta))
-    return cost, jac.df_du @ jac.dpi_dtheta + jac.dcost_dx_closed() @ S
+    return cost, jac.df_du @ jac.dpi_dtheta + (jac.df_dx + jac.df_du @ jac.dpi_dx) @ S
 
 
 class TestLockstep:

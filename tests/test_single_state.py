@@ -19,6 +19,8 @@ from gaps.linalg import PIVOT_TOL, quadratic_cost, row_matmul, solve_dare, solve
 from gaps.oracles import finite_memory_gradient
 from gaps.system import Box, ControlSystem, StepJacobians
 
+from conftest import TanhSystem
+
 
 def same(a, b):
     """Equal bytes, shapes and dtypes: signed zeros and NaN payloads count."""
@@ -186,8 +188,9 @@ def assert_same_closed_loop(a, b):
 
 
 class DefaultClosedLoop(PendulumEnv):
-    """Redefines jacobians, so it takes ControlSystem's closed-loop methods,
-    which read the products off jacobians and jacobians_lanes."""
+    """Redefines jacobians, so it takes ControlSystem's closed-loop methods:
+    the single-state one reads the products off jacobians, and the lane one
+    stacks the single-state products lane by lane."""
 
     def jacobians(self, t, x, theta):
         return super().jacobians(t, x, theta)
@@ -249,16 +252,29 @@ class TestPendulum:
 
 class TestPendulumClosedLoop:
     """PendulumEnv's closed-loop Jacobians against the products of its
-    jacobians, bit for bit."""
+    jacobians, and the default lane record against the single-state
+    records, bit for bit."""
 
     def test_subclass_with_own_jacobians_gets_the_defaults(self):
         for name in ("closed_loop_jacobians", "closed_loop_jacobians_lanes"):
             assert getattr(DefaultClosedLoop, name) is getattr(ControlSystem, name)
         assert PendulumEnv.closed_loop_jacobians is not ControlSystem.closed_loop_jacobians
 
+    @staticmethod
+    def assert_lanes_match_single(env, t, X, thetas):
+        """The default lane record, read whole and lane by lane, against each
+        lane's closed_loop_jacobians."""
+        lanes = env.closed_loop_jacobians_lanes(t, X, thetas)
+        for i, (x, theta) in enumerate(zip(X, thetas)):
+            single = env.closed_loop_jacobians(t, x, theta)
+            assert_same_closed_loop(lanes.lane(i), single)
+            for name in CLOSED_LOOP_BLOCKS:
+                assert same(getattr(lanes, name)[i], getattr(single, name)), name
+
     def test_blocks_match_default(self, pendulum_cases):
         rng = np.random.default_rng(4)
         for env, traj in pendulum_cases:
+            assert type(env).closed_loop_jacobians_lanes is ControlSystem.closed_loop_jacobians_lanes
             # States at several scales and every pattern of signed zeros,
             # against the box corners and random box gains, then visited
             # points.
@@ -270,16 +286,25 @@ class TestPendulumClosedLoop:
             thetas = np.concatenate([thetas, traj.thetas[:100]])
             # Mass switches every 100 steps: both sides of three switches.
             for t in (0, 99, 100, 199, 200, 299, 300, 537):
-                lanes = env.closed_loop_jacobians_lanes(t, X, thetas)
-                for i, (x, theta) in enumerate(zip(X, thetas)):
-                    single = env.closed_loop_jacobians(t, x, theta)
+                for x, theta in zip(X, thetas):
                     assert_same_closed_loop(
-                        single, ControlSystem.closed_loop_jacobians(env, t, x, theta)
+                        env.closed_loop_jacobians(t, x, theta),
+                        ControlSystem.closed_loop_jacobians(env, t, x, theta),
                     )
-                    # The lane record, read whole and lane by lane.
-                    assert_same_closed_loop(lanes.lane(i), single)
-                    for name in CLOSED_LOOP_BLOCKS:
-                        assert same(getattr(lanes, name)[i], getattr(single, name)), name
+                self.assert_lanes_match_single(env, t, X, thetas)
+        # Envs without closed-loop methods of their own: random and
+        # signed-zero parameters on TanhSystem, and the horizon env's arm
+        # boundaries, where rounding picks the arm.
+        tanh = TanhSystem(n=3, m=2, d=2, seed=5)
+        tanh_thetas = rng.standard_normal((300, 2))
+        tanh_thetas[:4] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]]
+        horizon = make_horizon_selection_env([1, 2, 3], T=200, seed=0)
+        arm_values = (0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2.49, 2.5, -3.0, 7.0)
+        horizon_thetas = np.array([[arm_values[i % 10]] for i in range(300)])
+        for env, thetas in ((tanh, tanh_thetas), (horizon, horizon_thetas)):
+            X = random_states(rng, env.n, 300)
+            for t in (0, 1, 57, 199):
+                self.assert_lanes_match_single(env, t, X, thetas)
 
     @pytest.mark.parametrize("t, B", [(40, 1), (150, 32), (230, 128), (599, 450)])
     def test_finite_memory_gradient_matches_default(self, pendulum_cases, t, B):
@@ -336,15 +361,15 @@ class TestLinalg:
                 df_dx=rng.standard_normal(n),
                 df_du=rng.standard_normal(m),
             )
-            assert same(jac.closed_loop(), jac.dg_dx + jac.dg_du @ jac.dpi_dx)
-            assert same(jac.dcost_dx_closed(), jac.df_dx + jac.df_du @ jac.dpi_dx)
+            assert same(jac.A_cl, jac.dg_dx + jac.dg_du @ jac.dpi_dx)
+            assert same(jac.c_x, jac.df_dx + jac.df_du @ jac.dpi_dx)
 
     def test_lane_closed_loop_broadcasts(self):
         rng = np.random.default_rng(3)
         dg_dx, dg_du = rng.standard_normal((2, 2)), rng.standard_normal((2, 1))
         dpi_dx = rng.standard_normal((5, 1, 2))
         jac = StepJacobians(dg_dx, dg_du, dpi_dx, np.zeros((5, 1, 2)), np.zeros(2), np.zeros(1))
-        assert same(jac.closed_loop(), dg_dx + dg_du @ dpi_dx)
+        assert same(jac.A_cl, dg_dx + dg_du @ dpi_dx)
 
     # solve_dare doubles where the plain loop iterates the Riccati map once
     # per step, so the two agree to rounding, not bit for bit. At most 12

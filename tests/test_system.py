@@ -139,16 +139,23 @@ class TestLaneEntryPoints:
 
     def test_subclass_override_resets_lane_alias(self):
         env_cls = self.ConstEnv
-        for name in ("policy", "cost"):
+        for name in ("policy", "cost", "closed_loop_jacobians"):
             assert getattr(env_cls, f"{name}_lanes") is getattr(ControlSystem, f"{name}_lanes")
-        for name in ("dynamics", "jacobians"):
-            assert env_cls.__dict__.get(f"{name}_lanes") is None
-            assert getattr(env_cls, f"{name}_lanes") is getattr(LinearFeedbackEnv, name)
+        assert env_cls.__dict__.get("dynamics_lanes") is None
+        assert env_cls.dynamics_lanes is LinearFeedbackEnv.dynamics
+
+        class OwnClosedLoop(LinearFeedbackEnv):
+            def closed_loop_jacobians(self, t, x, theta):
+                return super().closed_loop_jacobians(t, x, theta)
+
+        lanes = OwnClosedLoop.closed_loop_jacobians_lanes
+        assert lanes is ControlSystem.closed_loop_jacobians_lanes
 
     def test_lq_envs_lanes_are_their_broadcasting_methods(self):
         for env_cls in (ConfidenceMpcEnv, DacEnv, LinearFeedbackEnv):
-            for name in ("policy", "dynamics", "cost", "jacobians"):
+            for name in ("policy", "dynamics", "cost"):
                 assert getattr(env_cls, f"{name}_lanes") is getattr(env_cls, name)
+            assert env_cls.closed_loop_jacobians_lanes is env_cls.jacobians
 
     def test_surrogate_table_uses_subclass_step_math(self):
         T = 20
