@@ -21,9 +21,11 @@ from .errors import (
     Divergence,
     EmptyGrid,
     GapsError,
+    NoContraction,
     NonConvergence,
     NonFiniteGradient,
     NonPositiveRegret,
+    PiecewiseConstantPolicy,
     SingularMatrix,
     StateBlowup,
     ZeroProbabilitySampled,

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     Divergence,
     GapsError,
+    NoContraction,
     NonFiniteGradient,
     StateBlowup,
 )
@@ -37,6 +38,7 @@ from .linalg import row_norms
 from .metrics import (
     local_regret,
     make_theta_grid,
+    require_theta_gradients,
     static_and_adaptive_regret,
     surrogate_table,
 )
@@ -252,13 +254,19 @@ def _default_theta0(env, env_name: str):
     return np.zeros(env.d)
 
 
-def run_algorithm(config: dict, env):
+def check_experiment(config: dict, env):
+    """Raise every config error of config against env. `run_algorithm`
+    calls it before its run, and a sweep for every value before its first
+    run. Returns the selector's settings: a GapsConfig, a BapsConfig, or
+    the follow-the-leader lambda0."""
+    if config.get("metrics", {}).get("local_regret", False):
+        _from_config("metrics.local_regret", require_theta_gradients, env)
     name = config["algorithm"]["name"]
     params = dict(config["algorithm"].get("params", {}))
     T = config["T"]
     env_name = config["env"]["name"]
     if name in ("gaps", "ogd"):
-        cfg = _from_config(
+        return _from_config(
             "algorithm.params",
             GapsConfig,
             eta=params.get("eta", 0.05),
@@ -266,8 +274,6 @@ def run_algorithm(config: dict, env):
             theta0=params.get("theta0", _default_theta0(env, env_name)),
             set=env.theta_set,
         )
-        runner = run_gaps if name == "gaps" else run_ideal_ogd
-        return runner(env, cfg, T), {}
     if name == "baps":
         arms = env.arm_thetas()
         if arms is None:
@@ -282,18 +288,29 @@ def run_algorithm(config: dict, env):
         )
         if cfg.b > T:
             raise ConfigError(f"algorithm.params: batch size b={cfg.b} is longer than T={T}")
-        result = run_baps(env, arms, cfg, T)
+        return cfg
+    if name == "ftl":
+        if env_name not in ("fig2", "constant_noise"):
+            raise ConfigError("ftl runs on the scalar-confidence envs only")
+        return params.get("lambda0", 1.0)
+    raise ConfigError(f"unknown algorithm {name!r}")
+
+
+def run_algorithm(config: dict, env):
+    cfg = check_experiment(config, env)
+    name = config["algorithm"]["name"]
+    T = config["T"]
+    if name in ("gaps", "ogd"):
+        runner = run_gaps if name == "gaps" else run_ideal_ogd
+        return runner(env, cfg, T), {}
+    if name == "baps":
+        result = run_baps(env, env.arm_thetas(), cfg, T)
         extras = {
             "arm_history": result.arm_history.tolist(),
             "final_distribution": result.distribution_history[-1].tolist(),
         }
         return result.trajectory, extras
-    if name == "ftl":
-        if env_name not in ("fig2", "constant_noise"):
-            raise ConfigError("ftl runs on the scalar-confidence envs only")
-        lambda0 = params.get("lambda0", 1.0)
-        return _from_config("ftl", env_mod.ftl_confidence_baseline, env, T, lambda0), {}
-    raise ConfigError(f"unknown algorithm {name!r}")
+    return _from_config("ftl", env_mod.ftl_confidence_baseline, env, T, cfg), {}
 
 
 def write_trace(path: str, traj) -> None:
@@ -333,7 +350,51 @@ def write_trace(path: str, traj) -> None:
             f.write("".join([row % tuple(r) for r in block.tolist()]))
 
 
-def compute_report(config: dict, env, traj, extras: dict) -> dict:
+class Memo:
+    """Envs and the comparator table built during one command.
+
+    An env is keyed by the config's `env`, `T` and `seed` sections, and the
+    table by those, its grid (`metrics.grid_points`, or the env's arms) and
+    its length. So a sweep over algorithm parameters builds one env and one
+    table, and a sweep over any of those keys one per value. Only the last
+    table is kept, and a new key drops it before the next is built, so a
+    memo never holds two. Each command makes its own memo, and each worker
+    process of a pooled sweep its own, so nothing is reused from one command
+    to the next.
+    """
+
+    def __init__(self):
+        self._envs = {}
+        self._table_key = None
+        self._table = None
+
+    @staticmethod
+    def _env_key(config: dict) -> str:
+        return json.dumps([config["env"], config["T"], config["seed"]], sort_keys=True)
+
+    def env(self, config: dict):
+        key = self._env_key(config)
+        if key not in self._envs:
+            self._envs[key] = build_env(config)
+        return self._envs[key]
+
+    def table(self, config: dict, env, T: int):
+        """(grid, surrogate table over T steps) of env, built from config."""
+        arms = env.arm_thetas()
+        grid_points = config.get("metrics", {}).get("grid_points", 101)
+        key = (self._env_key(config), None if arms is not None else grid_points, T)
+        if key != self._table_key:
+            self._table_key = self._table = None
+            if arms is not None:
+                grid = np.stack(arms)
+            else:
+                grid = make_theta_grid(env.theta_set, grid_points)
+            self._table = grid, surrogate_table(env, grid, T)
+            self._table_key = key
+        return self._table
+
+
+def compute_report(config: dict, env, traj, extras: dict, memo: Memo) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "env": config["env"]["name"],
@@ -347,12 +408,7 @@ def compute_report(config: dict, env, traj, extras: dict) -> dict:
     report.update(extras)
     metrics_cfg = config.get("metrics", {})
     if metrics_cfg.get("regret", True):
-        arms = env.arm_thetas()
-        if arms is not None:
-            grid = np.stack(arms)
-        else:
-            grid = make_theta_grid(env.theta_set, metrics_cfg.get("grid_points", 101))
-        table = surrogate_table(env, grid, len(traj))
+        grid, table = memo.table(config, env, len(traj))
         regret = static_and_adaptive_regret(traj.costs, table, grid)
         if metrics_cfg.get("local_regret", False):
             regret.local_regret = local_regret(env, traj.thetas, len(traj))
@@ -360,19 +416,16 @@ def compute_report(config: dict, env, traj, extras: dict) -> dict:
     return report
 
 
-def run_experiment(config: dict, out_dir: str):
+def run_experiment(config: dict, out_dir: str, memo: Memo):
     """Run one experiment and write its files; returns (env, traj, report)."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         json.dump(config, f, indent=2, sort_keys=True)
         f.write("\n")
-    env = build_env(config)
-    if config.get("metrics", {}).get("local_regret", False) and env.arm_thetas() is not None:
-        raise ConfigError("metrics.local_regret: the env's arms make its policy piecewise "
-                          "constant in theta, so every surrogate gradient is zero")
+    env = memo.env(config)
     traj, extras = run_algorithm(config, env)
     write_trace(os.path.join(out_dir, "trace.csv"), traj)
-    report = compute_report(config, env, traj, extras)
+    report = compute_report(config, env, traj, extras, memo)
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -400,9 +453,9 @@ def _cost_bias_metric(env, traj) -> float:
 _SWEEP_METRICS = {"mean_grad_bias": _grad_bias_metric, "mean_cost_bias": _cost_bias_metric}
 
 
-def _sweep_worker(args: tuple) -> float:
-    config, sub_dir, metric = args
-    env, traj, report = run_experiment(config, sub_dir)
+def _sweep_worker(task: tuple, memo: Memo) -> float:
+    config, sub_dir, metric = task
+    env, traj, report = run_experiment(config, sub_dir, memo)
     if metric in _SWEEP_METRICS:
         value = _SWEEP_METRICS[metric](env, traj)
     else:
@@ -412,33 +465,49 @@ def _sweep_worker(args: tuple) -> float:
     return value
 
 
+# A pooled sweep's worker process keeps one memo for the tasks it runs; the
+# process, and so the memo, ends with the command's pool.
+_worker_memo = None
+
+
+def _start_worker() -> None:
+    global _worker_memo
+    _worker_memo = Memo()
+
+
+def _pooled_sweep_worker(task: tuple) -> float:
+    return _sweep_worker(task, _worker_memo)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 def cmd_run(args) -> int:
     config = load_config(args.config, args.override)
-    run_experiment(config, args.out)
+    run_experiment(config, args.out, Memo())
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.override)
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     values = [_parse_value(v) for v in args.values.split(",")]
+    memo = Memo()
     tasks = []
     for value in values:
         sub_config = copy.deepcopy(config)
         _set_path(sub_config, args.param.split("."), value)
         validate_config(sub_config)
+        check_experiment(sub_config, memo.env(sub_config))
         sub_dir = os.path.join(args.out, f"{args.param.replace('.', '_')}={value}")
         tasks.append((sub_config, sub_dir, args.metric))
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker) as pool:
+            results = list(pool.map(_pooled_sweep_worker, tasks))
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        results = [_sweep_worker(t, memo) for t in tasks]
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w") as f:
@@ -485,7 +554,7 @@ def cmd_contraction(args) -> int:
 def cmd_regret(args) -> int:
     config = load_config(args.config, args.override)
     config.setdefault("metrics", {})["regret"] = True
-    run_experiment(config, args.out)
+    run_experiment(config, args.out, Memo())
     return 0
 
 
@@ -538,7 +607,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StateBlowup, Divergence, NonFiniteGradient) as exc:
+    except (StateBlowup, Divergence, NoContraction, NonFiniteGradient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError) as exc:

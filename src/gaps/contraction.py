@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, require_integer
+from .errors import Divergence, NoContraction, require_integer
 from .linalg import row_norms
 from .system import Ball, ControlSystem, ParameterSet
 
@@ -218,7 +218,8 @@ def estimate_contraction(
     the envelope dominates 100% of the sample regardless of the window.
     Refuses a horizon below 2, which leaves no window, or above system.T.
     Raises Divergence when any pair separates by more than 1e6x or a state
-    is not finite, naming the first such pair in draw order.
+    is not finite, naming the first such pair in draw order, and
+    NoContraction when the 99th-percentile ratio is at least 1.
 
     With R_C_probe unset, twice the observed closed-loop state sup is used
     and flagged in the returned estimate.
@@ -281,14 +282,19 @@ def estimate_contraction(
         raise ValueError("no usable decay samples; increase pairs or horizon")
 
     log_rho = float(np.percentile(log_ratios, 99.0))
-    log_rho = min(log_rho, -1e-12)  # keep rho_hat strictly inside (0, 1)
+    rho_hat = math.exp(log_rho)
+    if not rho_hat < 1.0:
+        raise NoContraction(
+            f"the 99th-percentile contraction ratio over {window}-step windows is "
+            f"{rho_hat:.6g} >= 1 at horizon {horizon}: no contraction was seen"
+        )
     log_C = max(r - t * log_rho for t, r in zip(curve_t, curve_log))
     C_hat = max(1.0, math.exp(log_C))
 
     R_S_hat = _stability_radius(zero_norms, zero_starts)
     return ContractionEstimate(
         C_hat=C_hat,
-        rho_hat=math.exp(log_rho),
+        rho_hat=rho_hat,
         R_C_probe=float(R_C_probe),
         R_S_hat=R_S_hat,
         eps=float(eps),

@@ -61,6 +61,16 @@ class Divergence(GapsError):
     """A perturbation rollout grew instead of contracting."""
 
 
+class NoContraction(GapsError):
+    """The sampled decay curves show no contraction: the 99th-percentile
+    windowed contraction ratio is at least 1."""
+
+
+class PiecewiseConstantPolicy(GapsError, ValueError):
+    """A policy that selects among discrete arms is piecewise constant in
+    theta, so every surrogate gradient is zero."""
+
+
 class EmptyGrid(GapsError):
     """A regret computation was given an empty parameter grid."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid, NonPositiveRegret
+from .errors import EmptyGrid, NonPositiveRegret, PiecewiseConstantPolicy
 from .linalg import row_norms
 from .oracles import surrogates
 from .system import Ball, Box, ControlSystem, ParameterSet, WholeSpace, check_state, rollout
@@ -200,9 +200,26 @@ def static_and_adaptive_regret(
     )
 
 
+def require_theta_gradients(system: ControlSystem) -> None:
+    """Raise PiecewiseConstantPolicy when the system selects among discrete
+    arms (`arm_thetas()` is not None): its policy is then piecewise constant
+    in theta, every surrogate gradient is zero, and local regret is 0.0
+    whatever the path."""
+    if system.arm_thetas() is not None:
+        raise PiecewiseConstantPolicy(
+            "the env's arms make its policy piecewise constant in theta, "
+            "so every surrogate gradient is zero"
+        )
+
+
 def local_regret(system: ControlSystem, theta_history: np.ndarray, T: int) -> float:
     """Cumulative squared surrogate-gradient norm along the parameter path,
-    sum_t |grad F_t(theta_t)|^2 in t order, from one lockstep pass."""
+    sum_t |grad F_t(theta_t)|^2 in t order, from one lockstep pass.
+
+    Refuses a system with discrete arms (`require_theta_gradients`) before
+    the pass starts.
+    """
+    require_theta_gradients(system)
     theta_history = np.atleast_2d(np.asarray(theta_history, dtype=float))
     if theta_history.shape[0] < T:
         raise ValueError("theta history shorter than T")

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ import pytest
 import gaps.cli
 from gaps.cli import derive_seed, load_config, main
 from gaps.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def overrides(*items):
+    return [arg for item in items for arg in ("--override", item)]
 
 
 def read_trace(path):
@@ -315,6 +322,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "numerical failure: state norm inf exceeded cap 1.000e+08 at step 1\n"
 
+    def test_no_contraction_is_numerical_failure(self, tmp_path, capsys):
+        # Over the default 30-step horizon the pendulum's gain box shows no
+        # contraction; a clamped rho_hat just below 1 would hide that.
+        argv = ["contraction", "--config", str(CONFIGS / "pendulum_iid.json"),
+                "--out", str(tmp_path / "con")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the 99th-percentile contraction ratio")
+        assert "at horizon 30" in err
+        assert not (tmp_path / "con" / "contraction.json").exists()
+
     def test_nan_disturbance_fails_contraction(self, tmp_path, monkeypatch, capsys):
         build = gaps.cli.build_env
 
@@ -475,6 +493,112 @@ class TestSweep:
             "--override", "T=40", "--override", "metrics.regret=false",
         ]) == 0
         assert calls == [0.004, 0.002]
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("config, items, param, values", [
+        ("fig2.json", [], "algorithm.params.eta", "0.1,-1"),
+        ("fig2.json", [], "algorithm.params.B", "4,0"),
+        ("fig2.json", [], "env.params.k", "1,0"),
+        ("fig2.json", ["algorithm.name=ftl"], "env.params.k", "1,2"),
+        ("horizon_baps.json", [], "metrics.local_regret", "false,true"),
+        ("horizon_baps.json", [], "algorithm.params.b", "20,1000"),
+    ])
+    def test_bad_value_stops_the_sweep_before_any_run(
+        self, tmp_path, capsys, monkeypatch, jobs, config, items, param, values
+    ):
+        # The bad value comes last; nothing of the good ones may run or
+        # be written.
+        ran = []
+        monkeypatch.setattr(gaps.cli, "run_algorithm", lambda *args: ran.append(args))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(CONFIGS / config),
+                     *overrides("T=200", *items), "--param", param,
+                     "--values", values, "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert ran == []
+        assert not out.exists()
+
+
+# (config, overrides, swept key, values): each value's files must be those
+# of a standalone run of that value.
+SWEEP_CASES = {
+    "fig2-B": ("fig2.json", ["T=80"], "algorithm.params.B", ["1", "4", "16"]),
+    "horizon-eta": ("horizon_baps.json", ["T=400", "algorithm.params.b=20"],
+                    "algorithm.params.eta", ["0.0002", "0.01", "0.1"]),
+    # b=30 truncates the run to 390 steps, so its table is not b=40's.
+    "horizon-b": ("horizon_baps.json", ["T=400"], "algorithm.params.b", ["30", "40"]),
+    "pendulum-regret": ("pendulum_iid.json", ["T=60", "metrics.regret=true"],
+                        "algorithm.params.eta", ["1.0", "5.0"]),
+}
+
+
+class TestSweepMemo:
+    """A sweep shares its env and comparator table between values whose
+    env, T, seed and grid agree, and within one command only."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    @pytest.mark.filterwarnings("ignore:horizon 400 is not divisible")
+    def test_each_value_writes_its_standalone_files(self, tmp_path, case, jobs):
+        config, items, param, values = SWEEP_CASES[case]
+        base = ["--config", str(CONFIGS / config), *overrides(*items)]
+        out = tmp_path / "sweep"
+        assert main(["sweep", *base, "--param", param, "--values", ",".join(values),
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        for value in values:
+            alone = tmp_path / f"alone-{value}"
+            assert main(["run", *base, *overrides(f"{param}={value}"),
+                         "--out", str(alone)]) == 0
+            swept = out / f"{param.replace('.', '_')}={value}"
+            for name in ("trace.csv", "report.json", "resolved_config.json"):
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Lists that record each env build and each table computation."""
+        envs, tables = [], []
+        build, table = gaps.cli.build_env, gaps.cli.surrogate_table
+
+        def counted_build(config):
+            envs.append(config["seed"])
+            return build(config)
+
+        def counted_table(env, grid, T):
+            tables.append(len(grid))
+            return table(env, grid, T)
+
+        monkeypatch.setattr(gaps.cli, "build_env", counted_build)
+        monkeypatch.setattr(gaps.cli, "surrogate_table", counted_table)
+        return envs, tables
+
+    @pytest.mark.parametrize("param, values, builds", [
+        ("algorithm.params.eta", "0.004,0.002,0.001", (1, 1)),
+        ("algorithm.params.B", "1,4,16", (1, 1)),
+        ("algorithm.params.theta0", "[0.5],[1.0]", (1, 1)),
+        ("seed", "0,1,2", (3, 3)),
+        ("T", "40,50,60", (3, 3)),
+        ("env.params.sigma_w", "0.5,1.0", (2, 2)),
+        ("metrics.grid_points", "11,21,31", (1, 3)),
+    ])
+    def test_one_env_and_table_per_distinct_key(self, tmp_path, monkeypatch, param, values,
+                                               builds):
+        envs, tables = self.count_builds(monkeypatch)
+        assert main(["sweep", "--config", str(CONFIGS / "fig2.json"), *overrides("T=50"),
+                     "--param", param, "--values", values, "--jobs", "1",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert (len(envs), len(tables)) == builds
+
+    def test_each_command_builds_its_own(self, tmp_path, monkeypatch):
+        envs, tables = self.count_builds(monkeypatch)
+        for out in ("a", "b"):
+            assert main(["sweep", "--config", str(CONFIGS / "fig2.json"), *overrides("T=50"),
+                         "--param", "algorithm.params.eta", "--values", "0.004,0.002",
+                         "--jobs", "1", "--out", str(tmp_path / out)]) == 0
+        assert (len(envs), len(tables)) == (2, 2)
+        assert (tmp_path / "a" / "summary.csv").read_bytes() == (
+            tmp_path / "b" / "summary.csv").read_bytes()
 
 
 class TestValidateAndFriends:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gaps.envs import (
     make_pendulum_env,
 )
 from gaps.envs.linear_feedback import LinearFeedbackEnv
-from gaps.errors import Divergence
+from gaps.errors import Divergence, NoContraction
 from gaps.system import Ball, Box
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -110,7 +111,12 @@ def reference_estimate(system, pset, eps, R_C_probe=None, pairs=100, horizon=30,
             log_ratios.append(math.log(norms[t] / norms[t - window]) / window)
     if not log_ratios:
         raise ValueError("no usable decay samples; increase pairs or horizon")
-    log_rho = min(float(np.percentile(log_ratios, 99.0)), -1e-12)
+    log_rho = float(np.percentile(log_ratios, 99.0))
+    if not math.exp(log_rho) < 1.0:
+        raise NoContraction(
+            f"the 99th-percentile contraction ratio over {window}-step windows is "
+            f"{math.exp(log_rho):.6g} >= 1 at horizon {horizon}: no contraction was seen"
+        )
     log_C = max(r - t * log_rho for t, r in curves)
     R_S_hat = reference_stability_radius(
         system, pset, eps, runs=min(pairs, 50), horizon=horizon, rng=rng
@@ -130,7 +136,7 @@ def outcome(fn, *args, **kwargs):
     """The value fn returns, or the type and message of what it raises."""
     try:
         return fn(*args, **kwargs)
-    except (Divergence, ValueError) as exc:
+    except (Divergence, NoContraction, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -205,6 +211,19 @@ class TestEstimateContraction:
         )
         assert est.rho_hat < 1.0
         assert est.C_hat >= 1.0
+
+    def test_no_contraction_at_short_pendulum_horizon(self):
+        # configs/pendulum_iid.json at the CLI's defaults: over 30 steps the
+        # gain box's oscillatory closed loops separate in at least 1% of the
+        # 7-step windows, while over 150 steps they contract.
+        import gaps.cli
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "pendulum_iid.json"
+        env = gaps.cli.build_env(gaps.cli.load_config(str(config), []))
+        kw = dict(eps=0.0, pairs=100, rng=gaps.cli.derive_seed(0, "contraction"))
+        with pytest.raises(NoContraction, match=r"99th-percentile .* 1\.09955 >= 1 at horizon 30"):
+            estimate_contraction(env, env.theta_set, horizon=30, **kw)
+        assert estimate_contraction(env, env.theta_set, horizon=150, **kw).rho_hat < 1.0
 
     def test_divergence_on_unstable_gains(self):
         env = LinearFeedbackEnv(
@@ -333,6 +352,8 @@ LOCKSTEP_CASES = {
                       dict(eps=0.0, R_C_probe=1.0, pairs=0, horizon=30, rng=0)),
     "pendulum-sparse": (lambda: make_pendulum_env(3000, IidGaussian(0.3), seed=0),
                         dict(eps=0.05, R_C_probe=0.5, pairs=40, horizon=30, rng=4)),
+    "pendulum-contracting": (lambda: make_pendulum_env(3000, IidGaussian(0.3), seed=0),
+                             dict(eps=0.05, R_C_probe=0.5, pairs=40, horizon=150, rng=4)),
     "horizon-per-lane": (lambda: make_horizon_selection_env([1, 2, 3], 400, seed=0),
                          dict(eps=0.0, pairs=40, horizon=30, rng=5)),
     "dac-iid": (_dac, dict(eps=np.inf, R_C_probe=3.0, pairs=40, horizon=60, rng=4)),

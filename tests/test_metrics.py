@@ -11,7 +11,7 @@ from gaps.envs import (
     make_pendulum_env,
 )
 from gaps.envs.linear_feedback import LinearFeedbackEnv
-from gaps.errors import EmptyGrid, NonPositiveRegret, StateBlowup
+from gaps.errors import EmptyGrid, NonPositiveRegret, PiecewiseConstantPolicy, StateBlowup
 from gaps.metrics import (
     dynamic_regret,
     local_regret,
@@ -317,6 +317,20 @@ class TestLocalRegret:
         assert local_regret(tanh_system, theta[None, :], 1) == pytest.approx(
             float(g @ g), abs=1e-12
         )
+
+    def test_refuses_an_env_with_arms(self, monkeypatch):
+        # Piecewise constant in theta: every gradient is zero, so the pass
+        # would return exactly 0.0. It is refused before it starts.
+        import gaps.metrics
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the lockstep pass ran")
+
+        monkeypatch.setattr(gaps.metrics, "surrogates", no_pass)
+        env = make_horizon_selection_env([1, 2, 3], T=300, seed=0)
+        thetas = np.tile(env.arm_thetas()[1], (300, 1))
+        with pytest.raises(PiecewiseConstantPolicy, match="piecewise constant in theta"):
+            local_regret(env, thetas, 300)
 
     def test_desk_scale_runtime(self):
         # The O(T^2) evaluation stays within the documented budget
